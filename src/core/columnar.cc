@@ -230,16 +230,9 @@ ColumnarDatasetReader::open(const std::string &stem)
             ++pos;
             continue;
         }
-        if (text[pos] != '"')
-            throw std::runtime_error(ctx + ": bad metricNames entry");
-        ++pos;
         std::string name;
-        while (pos < text.size() && text[pos] != '"') {
-            if (text[pos] == '\\' && pos + 1 < text.size())
-                ++pos;
-            name.push_back(text[pos++]);
-        }
-        ++pos; // closing quote
+        if (!jsonio::readString(text, pos, name))
+            throw std::runtime_error(ctx + ": bad metricNames entry");
         reader.metricNames_.push_back(std::move(name));
     }
 

@@ -17,14 +17,92 @@ appendDouble(std::string &out, double v)
 std::string
 escape(const std::string &s)
 {
+    static const char kHex[] = "0123456789abcdef";
     std::string out;
     out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
+    for (const char c : s) {
+        const auto byte = static_cast<unsigned char>(c);
+        switch (c) {
+        case '"':
+            out += "\\\"";
+            break;
+        case '\\':
+            out += "\\\\";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        case '\r':
+            out += "\\r";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        default:
+            if (byte < 0x20) {
+                out += "\\u00";
+                out.push_back(kHex[byte >> 4]);
+                out.push_back(kHex[byte & 0xf]);
+            } else {
+                out.push_back(c);
+            }
+        }
     }
     return out;
+}
+
+bool
+readString(const std::string &text, std::size_t &pos, std::string &out)
+{
+    if (pos >= text.size() || text[pos] != '"')
+        return false;
+    std::size_t p = pos + 1;
+    std::string value;
+    while (p < text.size() && text[p] != '"') {
+        if (text[p] != '\\') {
+            value.push_back(text[p++]);
+            continue;
+        }
+        if (++p >= text.size())
+            return false;
+        switch (text[p++]) {
+        case '"':
+            value.push_back('"');
+            break;
+        case '\\':
+            value.push_back('\\');
+            break;
+        case 'n':
+            value.push_back('\n');
+            break;
+        case 'r':
+            value.push_back('\r');
+            break;
+        case 't':
+            value.push_back('\t');
+            break;
+        case 'u': {
+            // escape() emits \u00XX for control bytes only.
+            unsigned code = 0;
+            if (p + 4 > text.size() || text.compare(p, 2, "00") != 0)
+                return false;
+            const auto res = std::from_chars(text.data() + p + 2,
+                                             text.data() + p + 4, code, 16);
+            if (res.ptr != text.data() + p + 4 || code >= 0x80)
+                return false;
+            value.push_back(static_cast<char>(code));
+            p += 4;
+            break;
+        }
+        default:
+            return false;
+        }
+    }
+    if (p >= text.size())
+        return false;  // unterminated
+    pos = p + 1;
+    out = std::move(value);
+    return true;
 }
 
 std::size_t
@@ -73,16 +151,10 @@ stringField(const std::string &text, const std::string &key,
             const std::string &context, std::size_t from)
 {
     std::size_t pos = valuePos(text, key, context, from);
-    if (pos >= text.size() || text[pos] != '"')
+    std::string out;
+    if (!readString(text, pos, out))
         throw std::runtime_error(context + ": bad string for '" + key +
                                  "'");
-    ++pos;
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-        if (text[pos] == '\\' && pos + 1 < text.size())
-            ++pos;
-        out.push_back(text[pos++]);
-    }
     return out;
 }
 

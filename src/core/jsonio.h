@@ -25,8 +25,22 @@ namespace jsonio {
 /** Append the shortest round-trip rendering of v (from_chars-exact). */
 void appendDouble(std::string &out, double v);
 
-/** Minimal JSON string escaping for names/hyperparam strings. */
+/**
+ * JSON string escaping: quote and backslash, \n \r \t, and \u00XX for
+ * the other control bytes, so any byte string renders on one line.
+ * Bytes >= 0x80 pass through unchanged.
+ */
 std::string escape(const std::string &s);
+
+/**
+ * Decode the escaped string literal whose opening quote is at `pos`
+ * (the inverse of escape()). On success stores the value in `out`,
+ * moves `pos` past the closing quote and returns true; returns false,
+ * leaving both untouched, on a missing quote, an unterminated literal
+ * or an escape escape() never writes.
+ */
+bool readString(const std::string &text, std::size_t &pos,
+                std::string &out);
 
 /**
  * Locate `"key":` in one of our own JSON documents starting at
@@ -42,6 +56,8 @@ double doubleField(const std::string &text, const std::string &key,
 std::uint64_t uintField(const std::string &text, const std::string &key,
                         const std::string &context, std::size_t from = 0);
 
+/** String value of `key`, decoded by readString(); throws when the
+ *  key is absent or the literal is malformed. */
 std::string stringField(const std::string &text, const std::string &key,
                         const std::string &context, std::size_t from = 0);
 

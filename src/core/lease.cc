@@ -16,6 +16,7 @@
 
 #include "core/fault_hooks.h"
 #include "core/fsio.h"
+#include "core/jsonio.h"
 #include "core/resilience.h"
 
 namespace archgym {
@@ -64,13 +65,8 @@ renderLease(const std::string &worker, std::uint64_t pid,
             std::uint64_t heartbeat_ns)
 {
     std::ostringstream os;
-    os << "{\"worker\":\"";
-    for (char c : worker) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << "\",\"pid\":" << pid << ",\"nonce\":" << nonce
+    os << "{\"worker\":\"" << jsonio::escape(worker)
+       << "\",\"pid\":" << pid << ",\"nonce\":" << nonce
        << ",\"seq\":" << sequence << ",\"heartbeatNs\":" << heartbeat_ns
        << "}\n";
     return os.str();
@@ -139,17 +135,12 @@ readLeaseRecord(const std::string &path, LeaseRecord &out)
         return false;
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-    const auto workerPos = text.find("\"worker\":\"");
+    const auto workerPos = text.find("\"worker\":");
     if (workerPos == std::string::npos)
         return false;
-    std::size_t pos = workerPos + std::strlen("\"worker\":\"");
+    std::size_t pos = workerPos + std::strlen("\"worker\":");
     std::string worker;
-    while (pos < text.size() && text[pos] != '"') {
-        if (text[pos] == '\\' && pos + 1 < text.size())
-            ++pos;
-        worker.push_back(text[pos++]);
-    }
-    if (pos >= text.size())
+    if (!jsonio::readString(text, pos, worker))
         return false;  // unterminated string: torn write
     LeaseRecord rec;
     rec.workerId = std::move(worker);

@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 
+#include "core/worker_pool.h"
 #include "mathutil/stats.h"
 
 namespace archgym {
@@ -60,18 +61,28 @@ ProxyCostModel::train(const std::vector<Transition> &transitions)
     for (const auto &t : transitions)
         xs.push_back(featurize(t.action));
 
-    forests_.clear();
+    std::vector<RandomForest> forests;
     for (std::size_t m = 0; m < metricNames_.size(); ++m) {
-        std::vector<double> ys;
-        ys.reserve(transitions.size());
-        for (const auto &t : transitions)
-            ys.push_back(t.observation[m]);
         ForestConfig cfg = config_;
         cfg.seed = config_.seed + m;  // decorrelate per-metric forests
-        RandomForest forest(cfg);
-        forest.fit(xs, ys);
-        forests_.push_back(std::move(forest));
+        forests.emplace_back(cfg);
     }
+    // The per-metric forests are independent (own seed, own targets,
+    // shared read-only features), so they train concurrently on the
+    // pool; each forest is identical to a serial fit. Inside a pool
+    // task a fan-out would hold threads the outer loop waits on, so
+    // there the loop runs as one slot on the calling thread.
+    WorkerPool::shared().parallelFor(
+        forests.size(),
+        [&](std::size_t, std::size_t m) {
+            std::vector<double> ys;
+            ys.reserve(transitions.size());
+            for (const auto &t : transitions)
+                ys.push_back(t.observation[m]);
+            forests[m].fit(xs, ys);
+        },
+        WorkerPool::onWorkerThread() ? 1 : 0);
+    forests_ = std::move(forests);
 }
 
 bool

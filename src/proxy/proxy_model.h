@@ -61,7 +61,12 @@ class ProxyCostModel
                    std::vector<std::string> metric_names,
                    ForestConfig config = {});
 
-    /** Train one forest per metric on the given transitions. */
+    /**
+     * Train one forest per metric on the given transitions, the forests
+     * fanned out over WorkerPool::shared() (serially when called from a
+     * pool thread). Forest m is seeded config.seed + m, so the result
+     * does not depend on scheduling.
+     */
     void train(const std::vector<Transition> &transitions);
 
     bool trained() const;
@@ -83,6 +88,12 @@ class ProxyCostModel
     ProxyAccuracy evaluate(const std::vector<Transition> &test) const;
 
     std::size_t metricCount() const { return metricNames_.size(); }
+
+    /** The trained forest of one metric. @pre trained() */
+    const RandomForest &forest(std::size_t metric) const
+    {
+        return forests_[metric];
+    }
 
   private:
     std::vector<double> featurize(const Action &action) const;

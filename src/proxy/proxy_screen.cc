@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cassert>
 #include <filesystem>
+#include <memory>
+#include <numeric>
 #include <stdexcept>
+#include <thread>
 
 #include "core/columnar.h"
 #include "core/fsio.h"
 #include "core/jsonio.h"
+#include "core/worker_pool.h"
 
 namespace archgym {
 
@@ -258,26 +262,45 @@ runSweepProxyScreened(const EnvFactory &env_factory,
         // batched ask-tell path, using the same per-config seed the
         // real sweep would: the screening reward is what the agent
         // would have believed the config is worth under the proxy.
-        ProxyEnvironment proxyEnv(proxy, space, metricNames,
-                                  *options.objective,
-                                  "proxy:" + env->name());
+        // Configs fan out over pool slots with one ProxyEnvironment per
+        // slot; a reward depends only on (config, seed), never on the
+        // slot that computed it. Inside a pool task the loop runs as
+        // one slot on the calling thread.
         RunConfig screenCfg = run_config;
         screenCfg.maxSamples = screenSamples;
         screenCfg.logTrajectory = false;
         screenCfg.recordRewardHistory = false;
         screenCfg.batchEval = true;
 
-        std::vector<std::size_t> order;
+        const std::size_t screened = configs.size() - pilotCount;
+        std::size_t slots =
+            WorkerPool::onWorkerThread() ? 1 : options.numThreads;
+        if (slots == 0)
+            slots = std::max(1u, std::thread::hardware_concurrency());
+        slots = std::max<std::size_t>(1, std::min(slots, screened));
+        std::vector<std::unique_ptr<ProxyEnvironment>> proxyEnvs;
+        for (std::size_t s = 0; s < slots; ++s)
+            proxyEnvs.push_back(std::make_unique<ProxyEnvironment>(
+                proxy, space, metricNames, *options.objective,
+                "proxy:" + env->name()));
+
         std::vector<double> rewards(configs.size(), 0.0);
-        for (std::size_t i = pilotCount; i < configs.size(); ++i) {
-            auto agent = builder(space, configs[i],
-                                 sweepConfigSeed(base_seed, i));
-            const RunResult run = runSearch(proxyEnv, *agent, screenCfg);
-            rewards[i] = run.bestReward;
-            order.push_back(i);
-        }
-        result.proxyEvaluations =
-            static_cast<std::size_t>(proxyEnv.sampleCount());
+        WorkerPool::shared().parallelFor(
+            screened,
+            [&](std::size_t slot, std::size_t j) {
+                const std::size_t i = pilotCount + j;
+                auto agent = builder(space, configs[i],
+                                     sweepConfigSeed(base_seed, i));
+                rewards[i] = runSearch(*proxyEnvs[slot], *agent, screenCfg)
+                                 .bestReward;
+            },
+            slots);
+        for (const auto &proxyEnv : proxyEnvs)
+            result.proxyEvaluations +=
+                static_cast<std::size_t>(proxyEnv->sampleCount());
+
+        std::vector<std::size_t> order(screened);
+        std::iota(order.begin(), order.end(), pilotCount);
         std::stable_sort(order.begin(), order.end(),
                          [&rewards](std::size_t a, std::size_t b) {
                              return rewards[a] > rewards[b];

@@ -119,6 +119,8 @@ struct ProxyScreenOptions
 
     /** Passed through to the pilot/frontier sharded sweeps. */
     std::size_t shardSize = 16;
+    /** Worker slots of the pilot/frontier sweeps and of screening
+     *  (0 = hardware concurrency). */
     std::size_t numThreads = 0;
 };
 
@@ -140,7 +142,8 @@ struct ProxyScreenResult
 
     bool screenReused = false;   ///< ranking reloaded from screen.json
     std::size_t trainRowCount = 0;
-    std::size_t proxyEvaluations = 0; ///< proxy samples spent screening
+    /** Proxy samples spent screening, summed over the slots. */
+    std::size_t proxyEvaluations = 0;
 };
 
 /**
@@ -151,10 +154,11 @@ struct ProxyScreenResult
  *               with the full grid);
  *  2. train   — convert the pilot exports to columnar, train one
  *               forest per metric;
- *  3. screen  — run each remaining config's agent against the
- *               ProxyEnvironment (batched inference), rank by proxy
- *               best reward, record the decision in screen.json
- *               atomically (validated + reused on resume);
+ *  3. screen  — run each remaining config's agent against a
+ *               ProxyEnvironment (batched inference; configs fan out
+ *               over numThreads pool slots, one environment per slot),
+ *               rank by proxy best reward, record the decision in
+ *               screen.json atomically (validated + reused on resume);
  *  4. frontier — runSweepSharded on the top-K configs in ranking
  *               order (resumable).
  *

@@ -8,31 +8,6 @@
 
 namespace archgym {
 
-namespace {
-
-double
-meanOf(const std::vector<double> &ys, const std::vector<std::size_t> &idx)
-{
-    double s = 0.0;
-    for (std::size_t i : idx)
-        s += ys[i];
-    return idx.empty() ? 0.0 : s / static_cast<double>(idx.size());
-}
-
-double
-sseOf(const std::vector<double> &ys, const std::vector<std::size_t> &idx,
-      double mean)
-{
-    double s = 0.0;
-    for (std::size_t i : idx) {
-        const double d = ys[i] - mean;
-        s += d * d;
-    }
-    return s;
-}
-
-} // namespace
-
 void
 ForestArena::clear()
 {
@@ -45,143 +20,371 @@ ForestArena::clear()
     depth.clear();
 }
 
+double
+ForestArena::leafValue(std::size_t tree, const double *x) const
+{
+    std::int32_t n = root[tree];
+    while (left[n] != n)
+        n = x[feature[n]] <= threshold[n] ? left[n] : right[n];
+    return value[n];
+}
+
+namespace {
+
+/** Four-lane double vector and its comparison-mask twin (GCC vector
+ *  extensions, as in mathutil's kernels). */
+typedef double V4d __attribute__((vector_size(32)));
+typedef std::int64_t V4l __attribute__((vector_size(32)));
+typedef double V4dUnaligned
+    __attribute__((vector_size(32), aligned(8), may_alias));
+
+inline V4d
+loadu4(const double *p)
+{
+    return *reinterpret_cast<const V4dUnaligned *>(p);
+}
+
+inline void
+storeu4(double *p, V4d v)
+{
+    *reinterpret_cast<V4dUnaligned *>(p) = v;
+}
+
+inline V4d
+broadcast(double v)
+{
+    return V4d{v, v, v, v};
+}
+
+/** Threshold lanes scored per kernel call (kMaxVectors x 4). */
+constexpr int kMaxVectors = 4;
+
+/**
+ * Scores 4*V candidate splits at once: lane j of vector v sends a row
+ * left when xcol[v][i] <= thr[4v + j]. Each vector reads its own
+ * feature column, so one call can score candidates of several
+ * features. Writes each lane's left-child row count and the children's
+ * sum of squared errors.
+ *
+ * Two fused passes over the node's m rows, in the node's row order:
+ * pass 1 counts the rows and sums the targets left and right of every
+ * threshold, pass 2 accumulates (y - child mean)^2. Every lane performs
+ * exactly the additions of the per-candidate scalar scan, in the same
+ * order: the masked add contributes either y or +0.0, and adding +0.0
+ * to a sum that started at +0.0 never changes it. So each lane is
+ * bit-identical to the scalar scan, while V independent accumulator
+ * chains hide the add latency that bounds a one-candidate loop. An
+ * empty child's mean is 0/0, which no row of that lane reads.
+ */
+template <int V>
+void
+scoreLanes(const double *const *xcol, const double *y, std::size_t m,
+           const double *thr, double *left_count, double *sse)
+{
+    V4d t[V], sumL[V], sumR[V];
+    V4l countL[V];
+    for (int v = 0; v < V; ++v) {
+        t[v] = loadu4(thr + 4 * v);
+        sumL[v] = broadcast(0.0);
+        sumR[v] = broadcast(0.0);
+        countL[v] = V4l{0, 0, 0, 0};
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+        const V4l yi = reinterpret_cast<V4l>(broadcast(y[i]));
+        for (int v = 0; v < V; ++v) {
+            const V4l goesLeft = broadcast(xcol[v][i]) <= t[v];
+            countL[v] -= goesLeft;  // true lanes are all-ones (-1)
+            sumL[v] += reinterpret_cast<V4d>(yi & goesLeft);
+            sumR[v] += reinterpret_cast<V4d>(yi & ~goesLeft);
+        }
+    }
+
+    V4d meanL[V], meanR[V], acc[V];
+    const V4d rows = broadcast(static_cast<double>(m));
+    for (int v = 0; v < V; ++v) {
+        const V4d nL = __builtin_convertvector(countL[v], V4d);
+        storeu4(left_count + 4 * v, nL);
+        meanL[v] = sumL[v] / nL;
+        meanR[v] = sumR[v] / (rows - nL);
+        acc[v] = broadcast(0.0);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+        const V4d yi = broadcast(y[i]);
+        for (int v = 0; v < V; ++v) {
+            const V4l goesLeft = broadcast(xcol[v][i]) <= t[v];
+            const V4d mean = reinterpret_cast<V4d>(
+                (reinterpret_cast<V4l>(meanL[v]) & goesLeft) |
+                (reinterpret_cast<V4l>(meanR[v]) & ~goesLeft));
+            const V4d d = yi - mean;
+            acc[v] += d * d;
+        }
+    }
+    for (int v = 0; v < V; ++v)
+        storeu4(sse + 4 * v, acc[v]);
+}
+
+void
+scoreLanesDispatch(int vectors, const double *const *xcol, const double *y,
+                   std::size_t m, const double *thr, double *left_count,
+                   double *sse)
+{
+    switch (vectors) {
+    case 1:
+        scoreLanes<1>(xcol, y, m, thr, left_count, sse);
+        break;
+    case 2:
+        scoreLanes<2>(xcol, y, m, thr, left_count, sse);
+        break;
+    case 3:
+        scoreLanes<3>(xcol, y, m, thr, left_count, sse);
+        break;
+    default:
+        scoreLanes<4>(xcol, y, m, thr, left_count, sse);
+        break;
+    }
+}
+
+} // namespace
+
+TreeBuilder::TreeBuilder(const std::vector<std::vector<double>> &xs,
+                         const std::vector<double> &ys,
+                         const ForestConfig &config)
+    : config_(config), ys_(ys), rows_(xs.size()),
+      dims_(xs.empty() ? 0 : xs.front().size())
+{
+    assert(!xs.empty() && xs.size() == ys.size());
+    xcol_.resize(dims_ * rows_);
+    for (std::size_t r = 0; r < rows_; ++r) {
+        assert(xs[r].size() == dims_);
+        for (std::size_t f = 0; f < dims_; ++f)
+            xcol_[f * rows_ + r] = xs[r][f];
+    }
+    // Presort each feature column once per fit; a tree's per-feature
+    // lists are then expanded from these by bootstrap multiplicity.
+    // Ties are ordered by row id only to make the lists reproducible:
+    // split search reads values, never positions of tied rows.
+    presorted_.resize(dims_ * rows_);
+    for (std::size_t f = 0; f < dims_; ++f) {
+        std::int32_t *rowsByValue = presorted_.data() + f * rows_;
+        std::iota(rowsByValue, rowsByValue + rows_, 0);
+        const double *col = xcol_.data() + f * rows_;
+        std::sort(rowsByValue, rowsByValue + rows_,
+                  [col](std::int32_t a, std::int32_t b) {
+                      return col[a] < col[b] || (col[a] == col[b] && a < b);
+                  });
+    }
+    copies_.resize(rows_);
+    goesLeft_.resize(rows_);
+    features_.resize(dims_);
+}
+
+void
+TreeBuilder::grow(const std::vector<std::size_t> &indices, Rng &rng,
+                  ForestArena &arena)
+{
+    assert(!indices.empty());
+    n_ = indices.size();
+    if (order_.size() < n_) {
+        order_.resize(n_);
+        spill_.resize(n_);
+        sorted_.resize(dims_ * n_);
+        ybuf_.resize(n_);
+        xbuf_.resize(dims_ * n_);
+        // Each feature contributes at most min(candidates, n - 1)
+        // distinct thresholds, padded to whole vectors.
+        const std::size_t perFeature =
+            (std::min(config_.thresholdCandidates, n_) + 3) / 4 * 4;
+        laneThr_.resize(dims_ * perFeature);
+        laneLeft_.resize(dims_ * perFeature);
+        laneSse_.resize(dims_ * perFeature);
+        vecColumn_.resize(dims_ * perFeature / 4);
+        vecFeature_.resize(dims_ * perFeature / 4);
+    }
+
+    std::fill(copies_.begin(), copies_.end(), 0u);
+    for (std::size_t i = 0; i < n_; ++i) {
+        assert(indices[i] < rows_);
+        order_[i] = static_cast<std::int32_t>(indices[i]);
+        ++copies_[indices[i]];
+    }
+    for (std::size_t f = 0; f < dims_; ++f) {
+        const std::int32_t *rowsByValue = presorted_.data() + f * rows_;
+        std::int32_t *out = sorted_.data() + f * n_;
+        for (std::size_t k = 0; k < rows_; ++k)
+            for (std::uint32_t c = copies_[rowsByValue[k]]; c > 0; --c)
+                *out++ = rowsByValue[k];
+    }
+
+    nodes_.clear();
+    depth_ = 0;
+    build(0, n_, 0, rng);
+    flattenInto(arena);
+}
+
 std::size_t
-DecisionTree::build(const std::vector<std::vector<double>> &xs,
-                    const std::vector<double> &ys,
-                    std::vector<std::size_t> &indices, std::size_t depth,
-                    const ForestConfig &config, Rng &rng)
+TreeBuilder::build(std::size_t lo, std::size_t hi, std::size_t depth,
+                   Rng &rng)
 {
     depth_ = std::max(depth_, depth);
     const std::size_t nodeIndex = nodes_.size();
     nodes_.emplace_back();
-    nodes_[nodeIndex].value = meanOf(ys, indices);
 
-    if (depth >= config.maxDepth ||
-        indices.size() < 2 * config.minSamplesLeaf) {
-        return nodeIndex;
+    const std::size_t m = hi - lo;
+    double *y = ybuf_.data();
+    double sum = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+        y[i] = ys_[order_[lo + i]];
+        sum += y[i];
     }
-    const double parentMean = nodes_[nodeIndex].value;
-    const double parentSse = sseOf(ys, indices, parentMean);
+    const double mean = sum / static_cast<double>(m);
+    nodes_[nodeIndex].value = mean;
+
+    if (depth >= config_.maxDepth || m < 2 * config_.minSamplesLeaf)
+        return nodeIndex;
+    double parentSse = 0.0;
+    for (std::size_t i = 0; i < m; ++i) {
+        const double d = y[i] - mean;
+        parentSse += d * d;
+    }
     if (parentSse < 1e-12)
         return nodeIndex;  // pure node
 
-    const std::size_t numFeatures = xs.front().size();
     // Feature subsampling (the "random" in random forest).
-    std::vector<std::size_t> features(numFeatures);
-    std::iota(features.begin(), features.end(), 0);
-    rng.shuffle(features);
-    const std::size_t useFeatures = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil(config.featureFraction *
-                         static_cast<double>(numFeatures))));
-    features.resize(useFeatures);
+    std::iota(features_.begin(), features_.end(), 0);
+    rng.shuffle(features_);
+    // Clamped to the feature count: a larger subsample could only
+    // repeat a feature, and a repeat never beats the first scan.
+    const std::size_t useFeatures = std::min(
+        dims_, std::max<std::size_t>(
+                   1, static_cast<std::size_t>(
+                          std::ceil(config_.featureFraction *
+                                    static_cast<double>(dims_)))));
 
-    double bestGain = 0.0;
-    std::size_t bestFeature = 0;
-    double bestThreshold = 0.0;
-
-    std::vector<double> values;
-    values.reserve(indices.size());
-    for (std::size_t f : features) {
-        values.clear();
-        for (std::size_t i : indices)
-            values.push_back(xs[i][f]);
-        std::sort(values.begin(), values.end());
-        if (values.front() == values.back())
-            continue;  // constant feature in this node
-
-        // Quantile-grid candidate thresholds.
-        const std::size_t cands =
-            std::min(config.thresholdCandidates, indices.size() - 1);
-        for (std::size_t c = 1; c <= cands; ++c) {
-            const std::size_t pos = c * (values.size() - 1) / (cands + 1);
-            const double thr =
-                0.5 * (values[pos] + values[std::min(pos + 1,
-                                                     values.size() - 1)]);
-            // Evaluate the split.
-            double sumL = 0.0, sumR = 0.0;
-            std::size_t nL = 0, nR = 0;
-            for (std::size_t i : indices) {
-                if (xs[i][f] <= thr) {
-                    sumL += ys[i];
-                    ++nL;
-                } else {
-                    sumR += ys[i];
-                    ++nR;
-                }
-            }
-            if (nL < config.minSamplesLeaf || nR < config.minSamplesLeaf)
-                continue;
-            const double meanL = sumL / static_cast<double>(nL);
-            const double meanR = sumR / static_cast<double>(nR);
-            double sseChildren = 0.0;
-            for (std::size_t i : indices) {
-                const double m = xs[i][f] <= thr ? meanL : meanR;
-                const double d = ys[i] - m;
-                sseChildren += d * d;
-            }
-            const double gain = parentSse - sseChildren;
-            if (gain > bestGain) {
-                bestGain = gain;
-                bestFeature = f;
-                bestThreshold = thr;
-            }
-        }
-    }
-
-    if (bestGain <= 1e-12)
+    const Split best = bestSplit(useFeatures, lo, hi, parentSse);
+    if (best.gain <= 1e-12)
         return nodeIndex;
 
-    std::vector<std::size_t> leftIdx, rightIdx;
-    for (std::size_t i : indices) {
-        if (xs[i][bestFeature] <= bestThreshold)
-            leftIdx.push_back(i);
-        else
-            rightIdx.push_back(i);
-    }
-    indices.clear();
-    indices.shrink_to_fit();
-
-    const std::size_t left =
-        build(xs, ys, leftIdx, depth + 1, config, rng);
-    const std::size_t right =
-        build(xs, ys, rightIdx, depth + 1, config, rng);
-    nodes_[nodeIndex].leaf = false;
-    nodes_[nodeIndex].feature = bestFeature;
-    nodes_[nodeIndex].threshold = bestThreshold;
-    nodes_[nodeIndex].left = left;
-    nodes_[nodeIndex].right = right;
+    const std::size_t mid =
+        lo + partition(lo, hi, best, depth + 1 < config_.maxDepth);
+    const std::size_t left = build(lo, mid, depth + 1, rng);
+    const std::size_t right = build(mid, hi, depth + 1, rng);
+    Node &node = nodes_[nodeIndex];
+    node.leaf = false;
+    node.feature = static_cast<std::int32_t>(best.feature);
+    node.threshold = best.threshold;
+    node.left = static_cast<std::int32_t>(left);
+    node.right = static_cast<std::int32_t>(right);
     return nodeIndex;
 }
 
-void
-DecisionTree::fit(const std::vector<std::vector<double>> &xs,
-                  const std::vector<double> &ys,
-                  const std::vector<std::size_t> &indices,
-                  const ForestConfig &config, Rng &rng)
+TreeBuilder::Split
+TreeBuilder::bestSplit(std::size_t use_features, std::size_t lo,
+                       std::size_t hi, double parent_sse)
 {
-    nodes_.clear();
-    depth_ = 0;
-    std::vector<std::size_t> idx = indices;
-    build(xs, ys, idx, 0, config, rng);
-}
+    const std::size_t m = hi - lo;
+    const std::size_t cands = std::min(config_.thresholdCandidates, m - 1);
 
-double
-DecisionTree::predict(const std::vector<double> &x) const
-{
-    assert(!nodes_.empty());
-    std::size_t n = 0;
-    while (!nodes_[n].leaf) {
-        n = x[nodes_[n].feature] <= nodes_[n].threshold ? nodes_[n].left
-                                                        : nodes_[n].right;
+    // Collect, feature by feature in subsample order, the quantile-grid
+    // thresholds. Consecutive equal thresholds (ties in the sorted
+    // values) score identically and never beat the first under the
+    // strict '>' below, so only the first is kept. Each feature's lanes
+    // are padded to a whole vector by repeating its last threshold,
+    // which again scores identically and cannot win.
+    std::size_t lanes = 0;
+    for (std::size_t k = 0; k < use_features; ++k) {
+        const std::size_t f = features_[k];
+        const std::int32_t *byValue = sorted_.data() + f * n_ + lo;
+        const double *col = xcol_.data() + f * rows_;
+        if (col[byValue[0]] == col[byValue[m - 1]])
+            continue;  // constant feature in this node
+
+        const std::size_t first = lanes;
+        for (std::size_t c = 1; c <= cands; ++c) {
+            const std::size_t pos = c * (m - 1) / (cands + 1);
+            const double thr =
+                0.5 * (col[byValue[pos]] +
+                       col[byValue[std::min(pos + 1, m - 1)]]);
+            if (lanes == first || thr != laneThr_[lanes - 1])
+                laneThr_[lanes++] = thr;
+        }
+        for (; lanes % 4 != 0; ++lanes)
+            laneThr_[lanes] = laneThr_[lanes - 1];
+        double *xs = xbuf_.data() + k * m;
+        for (std::size_t i = 0; i < m; ++i)
+            xs[i] = col[order_[lo + i]];
+        for (std::size_t v = first / 4; v < lanes / 4; ++v) {
+            vecColumn_[v] = xs;
+            vecFeature_[v] = f;
+        }
     }
-    return nodes_[n].value;
+
+    const std::size_t vectors = lanes / 4;
+    for (std::size_t v = 0; v < vectors; v += kMaxVectors) {
+        const int width =
+            static_cast<int>(std::min<std::size_t>(kMaxVectors, vectors - v));
+        scoreLanesDispatch(width, vecColumn_.data() + v, ybuf_.data(), m,
+                           laneThr_.data() + 4 * v, laneLeft_.data() + 4 * v,
+                           laneSse_.data() + 4 * v);
+    }
+
+    // The first strictly best gain in (feature subsample, threshold)
+    // order wins, as in the per-candidate scan. Thresholds leaving a
+    // child under minSamplesLeaf never compete.
+    const double minLeaf = static_cast<double>(config_.minSamplesLeaf);
+    const double rows = static_cast<double>(m);
+    Split best;
+    for (std::size_t j = 0; j < lanes; ++j) {
+        if (laneLeft_[j] < minLeaf || rows - laneLeft_[j] < minLeaf)
+            continue;
+        const double gain = parent_sse - laneSse_[j];
+        if (gain > best.gain) {
+            best.gain = gain;
+            best.feature = vecFeature_[j / 4];
+            best.threshold = laneThr_[j];
+        }
+    }
+    return best;
+}
+
+std::size_t
+TreeBuilder::partition(std::size_t lo, std::size_t hi, const Split &split,
+                       bool children_split)
+{
+    const double *col = xcol_.data() + split.feature * rows_;
+    for (std::size_t i = lo; i < hi; ++i) {
+        const std::int32_t r = order_[i];
+        goesLeft_[r] = col[r] <= split.threshold;
+    }
+    // Stable in-place partition of the node's slice of a row list: left
+    // rows compact forward, right rows are staged and appended, so both
+    // children keep their rows in the parent's order. Branch-free (each
+    // row is written to both places, only one cursor advances): the
+    // side a row takes is data-dependent and mispredicts half the time.
+    const auto stablePartition = [this, lo, hi](std::int32_t *list) {
+        std::size_t l = lo, r = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+            const std::int32_t row = list[i];
+            const std::size_t toLeft = goesLeft_[row];
+            list[l] = row;
+            spill_[r] = row;
+            l += toLeft;
+            r += 1 - toLeft;
+        }
+        std::copy_n(spill_.begin(), r, list + l);
+        return l - lo;
+    };
+    const std::size_t leftCount = stablePartition(order_.data());
+    // Children at the depth limit are leaves and never read the sorted
+    // lists.
+    if (children_split)
+        for (std::size_t f = 0; f < dims_; ++f)
+            stablePartition(sorted_.data() + f * n_);
+    return leftCount;
 }
 
 void
-DecisionTree::flattenInto(ForestArena &arena) const
+TreeBuilder::flattenInto(ForestArena &arena)
 {
-    assert(!nodes_.empty());
     const std::int32_t base = static_cast<std::int32_t>(arena.nodeCount());
     arena.root.push_back(base);
     arena.depth.push_back(static_cast<std::int32_t>(depth_));
@@ -191,26 +394,25 @@ DecisionTree::flattenInto(ForestArena &arena) const
     // child as left + 1 and drops one load from the per-step chase;
     // BFS order also keeps the hot top levels of the tree on adjacent
     // cache lines. Processing the queue in FIFO order makes the new
-    // index of order[q] exactly q.
-    std::vector<std::int32_t> remap(nodes_.size(), -1);
-    std::vector<std::size_t> order;
-    order.reserve(nodes_.size());
-    remap[0] = 0;
-    order.push_back(0);
+    // index of bfs_[q] exactly q.
+    remap_.assign(nodes_.size(), -1);
+    bfs_.clear();
+    remap_[0] = 0;
+    bfs_.push_back(0);
     std::int32_t next = 1;
-    for (std::size_t q = 0; q < order.size(); ++q) {
-        const Node &n = nodes_[order[q]];
+    for (std::size_t q = 0; q < bfs_.size(); ++q) {
+        const Node &n = nodes_[bfs_[q]];
         if (!n.leaf) {
-            remap[n.left] = next;
-            remap[n.right] = next + 1;
+            remap_[n.left] = next;
+            remap_[n.right] = next + 1;
             next += 2;
-            order.push_back(n.left);
-            order.push_back(n.right);
+            bfs_.push_back(n.left);
+            bfs_.push_back(n.right);
         }
     }
 
-    for (std::size_t q = 0; q < order.size(); ++q) {
-        const Node &n = nodes_[order[q]];
+    for (std::size_t q = 0; q < bfs_.size(); ++q) {
+        const Node &n = nodes_[bfs_[q]];
         const std::int32_t self = base + static_cast<std::int32_t>(q);
         if (n.leaf) {
             arena.feature.push_back(0);
@@ -219,10 +421,10 @@ DecisionTree::flattenInto(ForestArena &arena) const
             arena.left.push_back(self);
             arena.right.push_back(self);
         } else {
-            arena.feature.push_back(static_cast<std::int32_t>(n.feature));
+            arena.feature.push_back(n.feature);
             arena.threshold.push_back(n.threshold);
-            arena.left.push_back(base + remap[n.left]);
-            arena.right.push_back(base + remap[n.right]);
+            arena.left.push_back(base + remap_[n.left]);
+            arena.right.push_back(base + remap_[n.right]);
         }
         arena.value.push_back(n.value);
     }
@@ -235,24 +437,19 @@ RandomForest::fit(const std::vector<std::vector<double>> &xs,
                   const std::vector<double> &ys)
 {
     assert(!xs.empty() && xs.size() == ys.size());
-    trees_.clear();
+    arena_.clear();
+    TreeBuilder builder(xs, ys, config_);
     Rng rng(config_.seed);
+    std::vector<std::size_t> indices(xs.size());
     for (std::size_t t = 0; t < config_.numTrees; ++t) {
-        std::vector<std::size_t> indices(xs.size());
         if (config_.bootstrap) {
             for (auto &i : indices)
                 i = static_cast<std::size_t>(rng.below(xs.size()));
         } else {
             std::iota(indices.begin(), indices.end(), 0);
         }
-        DecisionTree tree;
-        tree.fit(xs, ys, indices, config_, rng);
-        trees_.push_back(std::move(tree));
+        builder.grow(indices, rng, arena_);
     }
-
-    arena_.clear();
-    for (const auto &tree : trees_)
-        tree.flattenInto(arena_);
 }
 
 double
@@ -260,9 +457,9 @@ RandomForest::predict(const std::vector<double> &x) const
 {
     assert(fitted());
     double s = 0.0;
-    for (const auto &tree : trees_)
-        s += tree.predict(x);
-    return s / static_cast<double>(trees_.size());
+    for (std::size_t t = 0; t < arena_.treeCount(); ++t)
+        s += arena_.leafValue(t, x.data());
+    return s / static_cast<double>(arena_.treeCount());
 }
 
 namespace {
@@ -295,7 +492,7 @@ RandomForest::predictBatchInto(const double *xs, std::size_t rows,
         for (std::size_t r = 0; r < br; ++r)
             o[r] = 0.0;
 
-        for (std::size_t t = 0; t < trees_.size(); ++t) {
+        for (std::size_t t = 0; t < arena_.treeCount(); ++t) {
             const std::int32_t root = arena_.root[t];
             const std::int32_t steps = arena_.depth[t];
             std::int32_t *cur = cursor.data();
@@ -363,7 +560,7 @@ RandomForest::predictBatchInto(const double *xs, std::size_t rows,
                 o[i] += val[cur[i]];
         }
 
-        const double denom = static_cast<double>(trees_.size());
+        const double denom = static_cast<double>(arena_.treeCount());
         for (std::size_t r = 0; r < br; ++r)
             o[r] /= denom;
     }

@@ -8,12 +8,19 @@
  * energy) on ArchGym exploration datasets and shows the resulting proxy
  * is ~2000x faster than the cycle-accurate simulator at <1% RMSE.
  *
- * Serving path: after fit() the forest is additionally flattened into a
- * single struct-of-arrays ForestArena (features / thresholds / children /
- * leaf values in separate cache-aligned vectors, all trees concatenated)
- * and multi-row queries go through the blocked, branch-free
- * predictBatch kernel. The per-tree node walk in predict() stays as the
- * scalar oracle; predictBatch is bit-identical to it (same per-row tree
+ * Training: TreeBuilder grows each tree from per-feature row lists
+ * presorted once per fit and stably partitioned at every split, and
+ * scores all threshold candidates of a feature in two fused vector
+ * passes over the node's rows. Every accumulation runs in the node's
+ * bootstrap row order, so the trees are bit-identical to the
+ * per-candidate scan kept as the test oracle (tests/forest_oracle.h).
+ *
+ * Storage and serving: each tree is flattened straight into a single
+ * struct-of-arrays ForestArena (features / thresholds / children / leaf
+ * values in separate cache-aligned vectors, all trees concatenated); the
+ * forest keeps nothing else. Scalar predict() walks the arena one tree
+ * at a time; multi-row queries go through the blocked, branch-free
+ * predictBatch kernel, bit-identical to predict() (same per-row tree
  * accumulation order, same final division). See docs/proxy_serving.md.
  */
 
@@ -40,7 +47,7 @@ namespace archgym {
  *  - leaf: left[i] == right[i] == i (self-loop) and threshold[i] = +inf,
  *    so the branch-free advance `n = L + (x[f] > thr)` parks on the
  *    leaf; value[i] is the leaf mean (split nodes also store their node
- *    mean, matching DecisionTree::Node).
+ *    mean).
  *
  * The self-loop lets the batch kernel advance rows with no per-row
  * branching — a walker group stops once every member is parked, at its
@@ -62,6 +69,9 @@ struct ForestArena
     std::size_t nodeCount() const { return feature.size(); }
     std::size_t treeCount() const { return root.size(); }
     void clear();
+
+    /** Value of the leaf that tree `tree` routes row x to. */
+    double leafValue(std::size_t tree, const double *x) const;
 };
 
 /** Forest training configuration. */
@@ -78,46 +88,78 @@ struct ForestConfig
     std::uint64_t seed = 1;
 };
 
-/** One CART regression tree (flat node array). */
-class DecisionTree
+/**
+ * CART regression-tree grower (variance-reduction splits) for one
+ * training set. A builder serves a whole forest fit: construction
+ * transposes the features and presorts every feature column once, and
+ * all per-tree scratch lives in buffers sized by the first grow(), so
+ * growing a tree allocates nothing per node. Each grown tree is
+ * flattened straight into a ForestArena.
+ */
+class TreeBuilder
 {
   public:
+    /** @pre xs.size() == ys.size() > 0, all rows of equal width.
+     *  ys is borrowed and must outlive the builder. */
+    TreeBuilder(const std::vector<std::vector<double>> &xs,
+                const std::vector<double> &ys, const ForestConfig &config);
+
     /**
-     * Fit on the given sample indices of (xs, ys).
-     * @param xs       feature rows
-     * @param ys       targets
-     * @param indices  training subset (bootstrap sample)
+     * Grow one tree on `indices` (row ids into xs in bootstrap order,
+     * duplicates allowed) and append it to `arena`. Draws feature
+     * subsets from `rng` node by node, depth-first, left child first.
      */
-    void fit(const std::vector<std::vector<double>> &xs,
-             const std::vector<double> &ys,
-             const std::vector<std::size_t> &indices,
-             const ForestConfig &config, Rng &rng);
-
-    double predict(const std::vector<double> &x) const;
-
-    /** Append this tree's nodes (rebased) + root/depth to the arena. */
-    void flattenInto(ForestArena &arena) const;
-
-    std::size_t nodeCount() const { return nodes_.size(); }
-    std::size_t depth() const { return depth_; }
+    void grow(const std::vector<std::size_t> &indices, Rng &rng,
+              ForestArena &arena);
 
   private:
     struct Node
     {
         bool leaf = true;
-        std::size_t feature = 0;
+        std::int32_t feature = 0;
         double threshold = 0.0;
         double value = 0.0;
-        std::size_t left = 0;
-        std::size_t right = 0;
+        std::int32_t left = 0;
+        std::int32_t right = 0;
     };
 
-    std::size_t build(const std::vector<std::vector<double>> &xs,
-                      const std::vector<double> &ys,
-                      std::vector<std::size_t> &indices, std::size_t depth,
-                      const ForestConfig &config, Rng &rng);
+    struct Split
+    {
+        double gain = 0.0;
+        std::size_t feature = 0;
+        double threshold = 0.0;
+    };
 
-    std::vector<Node> nodes_;
+    std::size_t build(std::size_t lo, std::size_t hi, std::size_t depth,
+                      Rng &rng);
+    Split bestSplit(std::size_t use_features, std::size_t lo,
+                    std::size_t hi, double parent_sse);
+    std::size_t partition(std::size_t lo, std::size_t hi,
+                          const Split &split, bool children_split);
+    void flattenInto(ForestArena &arena);
+
+    ForestConfig config_;
+    const std::vector<double> &ys_;
+    std::size_t rows_;
+    std::size_t dims_;
+    AlignedVector xcol_;                  ///< dims x rows, column-major
+    std::vector<std::int32_t> presorted_; ///< per feature: rows by value
+
+    // Per-tree scratch, sized by the first grow().
+    std::size_t n_ = 0;                   ///< rows of the current tree
+    std::vector<std::int32_t> order_;     ///< node rows, bootstrap order
+    std::vector<std::int32_t> sorted_;    ///< per feature: node rows by value
+    std::vector<std::int32_t> spill_;     ///< partition staging
+    std::vector<std::uint32_t> copies_;   ///< bootstrap multiplicity per row
+    std::vector<std::uint8_t> goesLeft_;  ///< split outcome per row
+    AlignedVector ybuf_;                  ///< node targets, row order
+    AlignedVector xbuf_;                  ///< node feature columns, row order
+    AlignedVector laneThr_, laneLeft_, laneSse_; ///< candidate lanes
+    std::vector<const double *> vecColumn_; ///< x column per lane vector
+    std::vector<std::size_t> vecFeature_;   ///< feature per lane vector
+    std::vector<std::size_t> features_;
+    std::vector<Node> nodes_;             ///< current tree, depth-first
+    std::vector<std::int32_t> bfs_, remap_;
     std::size_t depth_ = 0;
 };
 
@@ -131,10 +173,10 @@ class RandomForest
     void fit(const std::vector<std::vector<double>> &xs,
              const std::vector<double> &ys);
 
-    bool fitted() const { return !trees_.empty(); }
-    std::size_t treeCount() const { return trees_.size(); }
+    bool fitted() const { return arena_.treeCount() != 0; }
+    std::size_t treeCount() const { return arena_.treeCount(); }
 
-    /** Scalar oracle: per-tree node walks, averaged in tree order. */
+    /** Per-tree arena walks, averaged in tree order. */
     double predict(const std::vector<double> &x) const;
 
     /**
@@ -160,8 +202,7 @@ class RandomForest
 
   private:
     ForestConfig config_;
-    std::vector<DecisionTree> trees_;
-    ForestArena arena_;  ///< rebuilt by fit(); serves predictBatch
+    ForestArena arena_;  ///< the fitted forest; rebuilt by fit()
 };
 
 } // namespace archgym

@@ -20,6 +20,7 @@
 
 #include "core/driver.h"
 #include "core/hyperparams.h"
+#include "core/jsonio.h"
 #include "core/objective.h"
 #include "core/param_space.h"
 #include "core/toy_envs.h"
@@ -1063,6 +1064,49 @@ TEST(Driver, SweepIsDeterministic)
     const auto s1 = runSweep(env, "S", builder, configs, cfg, 99);
     const auto s2 = runSweep(env, "S", builder, configs, cfg, 99);
     EXPECT_EQ(s1.bestRewards, s2.bestRewards);
+}
+
+// --------------------------------------------------------------------
+// jsonio string escaping
+// --------------------------------------------------------------------
+
+TEST(JsonIo, EscapedStringsRoundTripArbitraryBytes)
+{
+    std::vector<std::string> samples = {
+        "", "plain", "line one\nline two", std::string("nul\0byte", 8),
+        "\"\\\b\f\r\t", "\xff\xfe not utf-8"};
+    std::string everyByte;
+    for (int b = 0; b < 256; ++b)
+        everyByte.push_back(static_cast<char>(b));
+    samples.push_back(everyByte);
+    Rng rng(5);
+    for (int i = 0; i < 200; ++i) {
+        std::string s(rng.below(40), '\0');
+        for (char &c : s)
+            c = static_cast<char>(rng.below(256));
+        samples.push_back(s);
+    }
+    for (const std::string &s : samples) {
+        const std::string escaped = jsonio::escape(s);
+        for (const char c : escaped)
+            ASSERT_GE(static_cast<unsigned char>(c), 0x20)
+                << "control byte left unescaped";
+        const std::string doc = "{\"k\":\"" + escaped + "\",\"n\":1}";
+        EXPECT_EQ(jsonio::stringField(doc, "k", "doc"), s);
+        EXPECT_EQ(jsonio::uintField(doc, "n", "doc"), 1u);
+    }
+    EXPECT_EQ(jsonio::escape("a\nb\x01"), "a\\nb\\u0001");
+}
+
+TEST(JsonIo, MalformedStringLiteralsThrow)
+{
+    for (const std::string doc :
+         {"{\"k\":\"unterminated", "{\"k\":\"bad \\q escape\"}",
+          "{\"k\":\"short \\u00\"}", "{\"k\":\"wide \\u0100\"}",
+          "{\"k\":\"dangling \\", "{\"k\":7}"})
+        EXPECT_THROW(jsonio::stringField(doc, "k", "doc"),
+                     std::runtime_error)
+            << doc;
 }
 
 } // namespace

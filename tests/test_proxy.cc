@@ -127,34 +127,38 @@ TEST(RandomForest, RespectsTreeCount)
     EXPECT_EQ(forest.treeCount(), 7u);
 }
 
-TEST(DecisionTree, SingleTreeSplitsStep)
+TEST(TreeBuilder, SingleTreeSplitsStep)
 {
     Rng rng(7);
     auto [xs, ys] = makeSynthetic(300, rng, stepFunction);
     std::vector<std::size_t> idx(xs.size());
     for (std::size_t i = 0; i < idx.size(); ++i)
         idx[i] = i;
-    DecisionTree tree;
     ForestConfig cfg;
     cfg.featureFraction = 1.0;
-    tree.fit(xs, ys, idx, cfg, rng);
-    EXPECT_GT(tree.nodeCount(), 1u);
-    EXPECT_NEAR(tree.predict({0.9, 0.9, 0.5}), 15.0, 1.0);
-    EXPECT_NEAR(tree.predict({0.1, 0.1, 0.5}), 0.0, 1.0);
+    ForestArena arena;
+    TreeBuilder(xs, ys, cfg).grow(idx, rng, arena);
+    ASSERT_EQ(arena.treeCount(), 1u);
+    EXPECT_GT(arena.nodeCount(), 1u);
+    const std::vector<double> high = {0.9, 0.9, 0.5};
+    const std::vector<double> low = {0.1, 0.1, 0.5};
+    EXPECT_NEAR(arena.leafValue(0, high.data()), 15.0, 1.0);
+    EXPECT_NEAR(arena.leafValue(0, low.data()), 0.0, 1.0);
 }
 
-TEST(DecisionTree, DepthBounded)
+TEST(TreeBuilder, DepthBounded)
 {
     Rng rng(8);
     auto [xs, ys] = makeSynthetic(500, rng, smoothFunction);
     std::vector<std::size_t> idx(xs.size());
     for (std::size_t i = 0; i < idx.size(); ++i)
         idx[i] = i;
-    DecisionTree tree;
     ForestConfig cfg;
     cfg.maxDepth = 4;
-    tree.fit(xs, ys, idx, cfg, rng);
-    EXPECT_LE(tree.depth(), 4u);
+    ForestArena arena;
+    TreeBuilder(xs, ys, cfg).grow(idx, rng, arena);
+    ASSERT_EQ(arena.treeCount(), 1u);
+    EXPECT_LE(arena.depth[0], 4);
 }
 
 // --------------------------------------------------------------------

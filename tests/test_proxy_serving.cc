@@ -7,8 +7,11 @@
  *    ways), minibatch sampling determinism and coverage, trajectory
  *    round-trips through toDataset(), and index/data validation;
  *  - RandomForest edge cases (single-sample fit, minSamplesLeaf
- *    boundary) and bit-identity of the SoA predictBatch kernel to the
- *    scalar oracle on randomized forests and awkward cohort sizes;
+ *    boundary), bit-identity of the trained ForestArena to the
+ *    per-candidate reference trainer (tests/forest_oracle.h) on
+ *    randomized data with ties, duplicates and constant features, and
+ *    of the SoA predictBatch kernel to the scalar walk on randomized
+ *    forests and awkward cohort sizes;
  *  - ProxyAccuracy NaN sentinels for degenerate inputs and their "n/a"
  *    rendering;
  *  - the proxy-screened sweep: determinism across runs, screen.json
@@ -19,10 +22,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/agent.h"
@@ -31,9 +37,12 @@
 #include "core/objective.h"
 #include "core/toy_envs.h"
 #include "core/trajectory.h"
+#include "core/worker_pool.h"
 #include "proxy/proxy_model.h"
 #include "proxy/proxy_screen.h"
 #include "proxy/random_forest.h"
+
+#include "forest_oracle.h"
 
 namespace archgym {
 namespace {
@@ -353,6 +362,149 @@ TEST(RandomForest, PredictBatchBitIdenticalToScalarOracle)
     }
 }
 
+/** Bitwise equality of every ForestArena field (threshold and value
+ *  compared as bit patterns, so -0.0 vs 0.0 would count as drift). */
+void
+expectSameArena(const ForestArena &got, const ForestArena &want,
+                const std::string &context)
+{
+    const auto sameBits = [](const AlignedVector &a,
+                             const AlignedVector &b) {
+        return a.size() == b.size() &&
+               std::equal(a.begin(), a.end(), b.begin(),
+                          [](double x, double y) {
+                              return std::bit_cast<std::uint64_t>(x) ==
+                                     std::bit_cast<std::uint64_t>(y);
+                          });
+    };
+    EXPECT_EQ(got.root, want.root) << context;
+    EXPECT_EQ(got.depth, want.depth) << context;
+    EXPECT_TRUE(got.feature == want.feature) << context;
+    EXPECT_TRUE(got.left == want.left) << context;
+    EXPECT_TRUE(got.right == want.right) << context;
+    EXPECT_TRUE(sameBits(got.threshold, want.threshold)) << context;
+    EXPECT_TRUE(sameBits(got.value, want.value)) << context;
+}
+
+/**
+ * Random training set shaped to hit the split search's edge cases:
+ * columns drawn from a few discrete levels (tied values, thresholds
+ * that coincide), one constant column, rows duplicated from earlier
+ * rows, and targets that tie or are constant.
+ */
+void
+makeAwkwardData(Rng &rng, std::size_t rows, std::size_t dims,
+                std::vector<std::vector<double>> &xs,
+                std::vector<double> &ys)
+{
+    xs.assign(rows, std::vector<double>(dims));
+    ys.assign(rows, 0.0);
+    const std::size_t constantCol = rng.below(dims);
+    std::vector<std::size_t> levels(dims);
+    for (auto &l : levels)
+        l = rng.below(3) == 0 ? 0 : 2 + rng.below(6);  // 0 = continuous
+    const bool constantTargets = rng.below(8) == 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        if (r > 0 && rng.below(5) == 0) {
+            const std::size_t src = rng.below(r);
+            xs[r] = xs[src];
+            ys[r] = ys[src];
+            continue;
+        }
+        for (std::size_t f = 0; f < dims; ++f) {
+            if (f == constantCol)
+                xs[r][f] = 0.25;
+            else if (levels[f] == 0)
+                xs[r][f] = rng.uniform();
+            else
+                xs[r][f] = static_cast<double>(rng.below(levels[f])) /
+                           static_cast<double>(levels[f]);
+        }
+        if (constantTargets)
+            ys[r] = 3.5;
+        else if (rng.below(4) == 0)
+            ys[r] = static_cast<double>(rng.below(3));  // tied targets
+        else
+            ys[r] = 4.0 * xs[r][0] - 2.0 * xs[r][dims - 1] +
+                    rng.uniform(-0.5, 0.5);
+    }
+}
+
+TEST(RandomForest, TrainedArenaBitIdenticalToReferenceTrainer)
+{
+    Rng rng(2024);
+    std::size_t cases = 0;
+    for (const std::size_t candidates : {1u, 15u, 16u, 17u, 40u}) {
+        for (const std::size_t leaf : {1u, 2u, 3u}) {
+            for (const bool bootstrap : {true, false}) {
+                // One tiny set (n < 16: fewer rows than candidates) and
+                // two larger ones per configuration.
+                for (const std::size_t rows :
+                     {1 + rng.below(15), 20 + rng.below(60),
+                      100 + rng.below(300)}) {
+                    const std::size_t dims = 1 + rng.below(6);
+                    std::vector<std::vector<double>> xs;
+                    std::vector<double> ys;
+                    makeAwkwardData(rng, rows, dims, xs, ys);
+                    ForestConfig cfg;
+                    cfg.numTrees = 1 + rng.below(5);
+                    cfg.maxDepth = 1 + rng.below(12);
+                    cfg.minSamplesLeaf = leaf;
+                    cfg.thresholdCandidates = candidates;
+                    const double fractions[] = {0.3, 0.7, 1.0, 1.5};
+                    cfg.featureFraction = fractions[rng.below(4)];
+                    cfg.bootstrap = bootstrap;
+                    cfg.seed = 77 + cases;
+                    const std::string context =
+                        "case " + std::to_string(cases) + ": rows=" +
+                        std::to_string(rows) + " dims=" +
+                        std::to_string(dims) + " candidates=" +
+                        std::to_string(candidates) + " leaf=" +
+                        std::to_string(leaf) + " bootstrap=" +
+                        std::to_string(bootstrap);
+
+                    RandomForest forest(cfg);
+                    forest.fit(xs, ys);
+                    const oracle::Forest reference(xs, ys, cfg);
+                    expectSameArena(forest.arena(), reference.arena,
+                                    context);
+                    for (std::size_t q = 0; q < 8; ++q) {
+                        const auto &x = xs[rng.below(rows)];
+                        EXPECT_EQ(forest.predict(x), reference.predict(x))
+                            << context;
+                    }
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 90u);
+}
+
+TEST(RandomForest, TrainedArenaMatchesReferenceOnWideDiscreteData)
+{
+    // TimeloopGym-shaped training set: seven power-of-two parameters in
+    // unit space (4-7 levels each), thousands of bootstrap rows, default
+    // forest hyperparameters except the tree count.
+    Rng rng(99);
+    const std::vector<std::size_t> levels = {7, 6, 5, 5, 5, 5, 4};
+    std::vector<std::vector<double>> xs(1500, std::vector<double>(7));
+    std::vector<double> ys(xs.size());
+    for (std::size_t r = 0; r < xs.size(); ++r) {
+        for (std::size_t f = 0; f < 7; ++f)
+            xs[r][f] = static_cast<double>(rng.below(levels[f])) /
+                       static_cast<double>(levels[f] - 1);
+        ys[r] = std::exp(2.0 * xs[r][0]) / (0.1 + xs[r][4]) +
+                rng.uniform(0.0, 0.01);
+    }
+    ForestConfig cfg;
+    cfg.numTrees = 4;
+    RandomForest forest(cfg);
+    forest.fit(xs, ys);
+    expectSameArena(forest.arena(), oracle::Forest(xs, ys, cfg).arena,
+                    "timeloop-shaped");
+}
+
 TEST(ProxyCostModel, PredictBatchColumnMajorMatchesScalarPredict)
 {
     const ParamSpace space = smallSpace();
@@ -378,6 +530,60 @@ TEST(ProxyCostModel, PredictBatchColumnMajorMatchesScalarPredict)
         for (std::size_t m = 0; m < kMetrics.size(); ++m)
             EXPECT_EQ(batch[m * cohort.size() + r], scalar[m])
                 << "row=" << r << " metric=" << m;
+    }
+}
+
+TEST(ProxyCostModel, TrainingInsidePoolWorkerMatchesCallerTraining)
+{
+    const ParamSpace space = smallSpace();
+    const auto logs = syntheticLogs(space, {90, 70, 40});
+    std::vector<Transition> train;
+    for (const auto &log : logs)
+        for (const auto &t : log.transitions())
+            train.push_back(t);
+    ForestConfig cfg;
+    cfg.numTrees = 6;
+
+    // From the caller: the per-metric forests fan out over the pool.
+    ProxyCostModel fanned(space, kMetrics, cfg);
+    fanned.train(train);
+
+    // From a pool thread: the nested call trains serially. Rendezvous
+    // so that exactly one body runs on a genuine pool thread (the
+    // caller participates in parallelFor as slot 0).
+    ProxyCostModel nested(space, kMetrics, cfg);
+    std::atomic<int> arrived{0};
+    std::atomic<bool> ranOnWorker{false};
+    WorkerPool::shared().parallelFor(
+        2,
+        [&](std::size_t, std::size_t) {
+            arrived.fetch_add(1);
+            while (arrived.load() < 2)
+                std::this_thread::yield();
+            if (!WorkerPool::onWorkerThread())
+                return;
+            nested.train(train);
+            ranOnWorker = true;
+        },
+        /*slots=*/2, /*chunk=*/1);
+    ASSERT_TRUE(ranOnWorker.load());
+
+    for (std::size_t m = 0; m < kMetrics.size(); ++m) {
+        expectSameArena(nested.forest(m).arena(), fanned.forest(m).arena(),
+                        "metric " + std::to_string(m));
+        // Forest m is forest-for-forest the serial oracle fit with its
+        // own seed.
+        ForestConfig metricCfg = cfg;
+        metricCfg.seed = cfg.seed + m;
+        std::vector<std::vector<double>> xs;
+        std::vector<double> ys;
+        for (const auto &t : train) {
+            xs.push_back(space.toUnit(t.action));
+            ys.push_back(t.observation[m]);
+        }
+        expectSameArena(fanned.forest(m).arena(),
+                        oracle::Forest(xs, ys, metricCfg).arena,
+                        "oracle metric " + std::to_string(m));
     }
 }
 
@@ -514,6 +720,50 @@ TEST(ProxyScreen, DeterministicAcrossIndependentRuns)
     EXPECT_EQ(a.ranking.size(), fx.configs.size() - 3);
     for (std::size_t i = 1; i < a.screenRewards.size(); ++i)
         EXPECT_GE(a.screenRewards[i - 1], a.screenRewards[i]);
+}
+
+TEST(ProxyScreen, ScreeningIsIdenticalAcrossSlotCounts)
+{
+    ScreenFixture fx;
+    HyperGrid grid;
+    std::vector<double> values;
+    for (int v = 1; v <= 37; ++v)
+        values.push_back(v);
+    grid.add("dummy", values);
+    fx.configs = grid.enumerate();
+
+    std::string firstRecord;
+    ProxyScreenResult first;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        auto opts = fx.options(
+            tempDir("screen_slots_" + std::to_string(threads)));
+        opts.numThreads = threads;
+        opts.screenTopK = 4;
+        const auto r = runSweepProxyScreened(fx.factory, "Scripted",
+                                             fx.builder, fx.configs,
+                                             fx.runCfg, opts, 21);
+        std::ifstream in(fs::path(opts.directory) / "screen.json",
+                         std::ios::binary);
+        const std::string record((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+        ASSERT_FALSE(record.empty());
+        EXPECT_EQ(r.proxyEvaluations,
+                  (fx.configs.size() - 3) * fx.runCfg.maxSamples);
+        if (threads == 1) {
+            firstRecord = record;
+            first = r;
+            continue;
+        }
+        const std::string ctx = "threads=" + std::to_string(threads);
+        EXPECT_EQ(record, firstRecord) << ctx;
+        EXPECT_EQ(r.ranking, first.ranking) << ctx;
+        EXPECT_EQ(r.screenRewards, first.screenRewards) << ctx;
+        EXPECT_EQ(r.frontier, first.frontier) << ctx;
+        EXPECT_EQ(r.proxyEvaluations, first.proxyEvaluations) << ctx;
+        EXPECT_EQ(r.frontierSweep.bestRewards,
+                  first.frontierSweep.bestRewards)
+            << ctx;
+    }
 }
 
 TEST(ProxyScreen, ResumeReusesRecordedScreenAndFrontierMatchesRanking)

@@ -25,6 +25,8 @@
 
 #include "core/agent.h"
 #include "core/driver.h"
+#include "core/fault_hooks.h"
+#include "core/jsonio.h"
 #include "core/lease.h"
 #include "core/resilience.h"
 #include "core/toy_envs.h"
@@ -638,6 +640,65 @@ TEST(SweepService, ExhaustedAttemptsFailTheSweepUnlessQuarantined)
               finalShardBytes(freshDir, ".jsonl"));
     EXPECT_EQ(finalShardBytes(dir, ".csv"),
               finalShardBytes(freshDir, ".csv"));
+}
+
+TEST(SweepService, MultiLineFailureMessageQuarantinesAndResumes)
+{
+    // A failure message with a raw newline (plus other control bytes
+    // and quotes) lands in the quarantine ledger and the gap record.
+    // Both must stay one JSON line each, so that repair, quarantine and
+    // a later resume of the finished sweep all parse them back.
+    const std::string message = "line one\nline two\t\"quoted\"\x01\r";
+    const Fixture fx;
+    const std::string dir = tempDir("svc_multiline");
+    FaultHookGuard guard;
+    InjectedClock clock;
+    faultHooks().beforeRun = [&message](const std::string &, std::size_t,
+                                        std::size_t config) {
+        if (config == 3)
+            throw std::runtime_error(message);
+    };
+
+    // Exhaust the budget without quarantine: the sweep dies with the
+    // attempts in the ledger.
+    auto opts = fx.options(dir, "first");
+    opts.leaseTtlMs = 1000;
+    opts.attempts.maxAttempts = 2;
+    opts.attempts.backoffBaseMs = 0;
+    EXPECT_THROW(fx.run(opts), std::runtime_error);
+
+    // Resume with quarantine: the ledger is read back and config 3
+    // becomes a gap record.
+    InjectedClock::advanceMs(2000);
+    auto retry = fx.options(dir, "second");
+    retry.leaseTtlMs = 1000;
+    retry.attempts = opts.attempts;
+    retry.attempts.quarantine = true;
+    const ShardedSweepResult finished = fx.run(retry);
+    ASSERT_TRUE(finished.complete);
+    EXPECT_EQ(finished.runsQuarantined, 1u);
+
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        if (entry.path().extension() != ".jsonl")
+            continue;
+        std::ifstream in(entry.path());
+        std::string line;
+        while (std::getline(in, line)) {
+            ASSERT_FALSE(line.empty()) << entry.path();
+            // Partial and ledger lines end in a crc frame; finals in '}'.
+            EXPECT_EQ(line.front(), '{') << entry.path() << ": " << line;
+            if (line.find("\"error\":") != std::string::npos) {
+                EXPECT_EQ(jsonio::stringField(line, "error",
+                                              entry.path().string()),
+                          message);
+            }
+        }
+    }
+
+    // A second invocation on the finished directory resumes cleanly.
+    const ShardedSweepResult resumed = fx.run(fx.options(dir, "third"));
+    EXPECT_TRUE(resumed.complete);
+    expectSameResult(finished, resumed);
 }
 
 TEST(SweepService, PoisonSweepQuarantinesExactlyOnceAcrossWorkerCounts)
