@@ -18,10 +18,10 @@
  *    uninterrupted run.
  *  - service: cooperative-sweep machinery costs — lease claim/release
  *    cycles/sec (flock + exclusive create + heartbeat thread),
- *    checksummed partial-file appends/sec and repair re-ingest
- *    runs/sec, and the end-to-end overhead fraction of a worker kill
- *    mid-shard followed by a stale-lease steal + run-granular repair,
- *    vs one uninterrupted run.
+ *    ShardStore appendRun calls/sec (render + one crc-framed write)
+ *    and repair-scan runs/sec, and the end-to-end overhead fraction
+ *    of a worker kill mid-shard followed by a stale-lease steal +
+ *    run-granular repair, vs one uninterrupted run.
  *  - resilience: fault-isolation costs — configs/sec with the
  *    isolation machinery armed (retry budget + quarantine) but no
  *    faults, i.e. the pure safety-net tax, and configs/sec of a sweep
@@ -38,6 +38,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,6 +49,7 @@
 #include "core/fault_hooks.h"
 #include "core/lease.h"
 #include "core/pareto.h"
+#include "core/shard_store.h"
 #include "core/trajectory.h"
 #include "envs/farsi_gym_env.h"
 
@@ -220,38 +222,60 @@ main()
     std::printf("\nlease claim+release: %.1f cycles/s\n",
                 leaseClaimsPerSec);
 
-    // --- Cooperative service: partial-file durability ----------------
+    // --- Cooperative service: partial-log durability -----------------
     const fs::path partialDir =
         fs::temp_directory_path() / "archgym_perf_partial";
     fs::remove_all(partialDir);
     fs::create_directories(partialDir);
-    const std::string pj = (partialDir / "bench.partial.jsonl").string();
-    const std::string pc = (partialDir / "bench.partial.csvf").string();
-    const std::string benchLine =
-        "{\"config\":0,\"seed\":7,\"bestReward\":1.5,"
-        "\"bestSampleIndex\":3,\"samplesUsed\":100,"
-        "\"bestAction\":[0.25,0.5,0.75],\"hyper\":\"x=1\"}\n";
+    const fs::path partialLog = partialDir / "shard_0000.partial.log";
     const std::string benchBlock =
         "# env=Bench agent=RW hyper=\n0.25,0.5,0.75,1.5\n";
+    const auto benchRecord = [](std::size_t config) {
+        ResultRecord r;
+        r.config = config;
+        r.seed = sweepConfigSeed(7, config);
+        r.bestReward = 1.5;
+        r.bestSampleIndex = 3;
+        r.samplesUsed = 100;
+        r.bestAction = {0.25, 0.5, 0.75};
+        r.hyper = "x=1";
+        return r;
+    };
+    // A store takes one record per config, so appends cycle through a
+    // shard of kStoreRuns configs with a fresh log per cycle.
+    const std::size_t kStoreRuns = 4096;
+    std::vector<ResultRecord> benchRecords;
+    for (std::size_t i = 0; i < kStoreRuns; ++i)
+        benchRecords.push_back(benchRecord(i));
+    const auto freshStore = [&](std::size_t runs) {
+        fs::remove(partialLog);
+        auto store = std::make_unique<ShardStore>(partialDir.string(), 0, 0,
+                                                  runs, 7, true);
+        store->repair();
+        return store;
+    };
     double partialAppendsPerSec = 0.0;
     {
-        ShardPartialWriter writer(pj, pc, 0, 0);
-        partialAppendsPerSec = callsPerSecond(
-            [&] { writer.append(0, benchLine, benchBlock); });
+        std::unique_ptr<ShardStore> store;
+        std::size_t next = kStoreRuns;
+        partialAppendsPerSec = callsPerSecond([&] {
+            if (next == kStoreRuns) {
+                store = freshStore(kStoreRuns);
+                next = 0;
+            }
+            store->appendRun(benchRecords[next++], benchBlock);
+        });
     }
     // Repair re-ingest throughput over a fixed-size dead-worker state.
     const std::size_t kPartialRuns = 512;
-    fs::remove(pj);
-    fs::remove(pc);
     {
-        ShardPartialWriter writer(pj, pc, 0, 0);
+        const auto store = freshStore(kPartialRuns);
         for (std::size_t i = 0; i < kPartialRuns; ++i)
-            writer.append(i, benchLine, benchBlock);
+            store->appendRun(benchRecords[i], benchBlock);
     }
     const double reingestPerSec = callsPerSecond([&] {
-        guard += static_cast<double>(
-            readPartialResultLines(pj).records.size() +
-            readPartialCsvFrames(pc).records.size());
+        ShardStore store(partialDir.string(), 0, 0, kPartialRuns, 7, true);
+        guard += static_cast<double>(store.repair().size());
     });
     const double repairReingestRunsPerSec =
         reingestPerSec * static_cast<double>(kPartialRuns);

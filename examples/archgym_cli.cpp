@@ -76,9 +76,9 @@
  *   --proxy-screen     enable proxy-screened sweep mode
  *   --screen-top-k K   screened configs promoted to simulation (def. 8)
  *   --pilot N          pilot configs simulated for training  (def. 16)
- *   --columnar         serve datasets through the columnar row-group
- *                      reader (proxy training data in screen mode, the
- *                      summary/pareto dataset in plain sweep mode)
+ *   --columnar         plain sweep mode: serve the summary/pareto
+ *                      dataset through the columnar row-group reader
+ *                      (screen mode always trains through it)
  *
  * Trace tooling (docs/trace_workloads.md):
  *
@@ -507,17 +507,15 @@ main(int argc, char **argv)
             popts.objective = objective;
             popts.pilotConfigs = pilotConfigs;
             popts.screenTopK = screenTopK;
-            popts.columnar = columnar;
             popts.shardSize = shardSize;
             popts.numThreads = threads;
 
             std::printf("proxy-screened lottery: env=%s agent=%s "
                         "configs=%zu pilot=%zu top-k=%zu samples=%zu "
-                        "dir=%s (%s training reader)\n",
+                        "dir=%s\n",
                         envName.c_str(), agentName.c_str(), sweepConfigs,
                         pilotConfigs, screenTopK, samples,
-                        sweepDir.c_str(),
-                        columnar ? "columnar" : "CSV");
+                        sweepDir.c_str());
             ProxyScreenResult screen;
             try {
                 screen = runSweepProxyScreened(factory, agentName,
@@ -589,7 +587,7 @@ main(int argc, char **argv)
                     sweep.shardsRun);
         if (sweep.runsQuarantined > 0)
             std::printf("quarantined: %zu of %zu configs gave up after "
-                        "repeated failures (see shard_*.quarantine.jsonl "
+                        "repeated failures (see shard_*.quarantine.log "
                         "under %s)\n",
                         sweep.runsQuarantined, sweep.configs.size(),
                         sweepDir.c_str());

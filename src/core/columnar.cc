@@ -245,21 +245,24 @@ ColumnarDatasetReader::open(const std::string &stem)
         const std::size_t endPos = text.find(']', cursor);
         if (objPos == std::string::npos || endPos < objPos)
             break;
-        const std::size_t objEnd = text.find('}', objPos);
-        if (objEnd == std::string::npos)
-            throw std::runtime_error(ctx + ": unterminated group entry");
-        const std::string obj = text.substr(objPos, objEnd - objPos + 1);
+        // Read the entry's fields in place: its strings may hold any
+        // byte, '}' included, so the entry ends after the last string
+        // literal ("hyper"), not at the first '}'.
         const std::string gctx =
             ctx + " group " + std::to_string(reader.groups_.size());
         ColumnarGroupMeta meta;
-        meta.offset = jsonio::uintField(obj, "offset", gctx);
-        meta.rows = jsonio::uintField(obj, "rows", gctx);
-        meta.crc = jsonio::uintField(obj, "crc", gctx);
+        meta.offset = jsonio::uintField(text, "offset", gctx, objPos);
+        meta.rows = jsonio::uintField(text, "rows", gctx, objPos);
+        meta.crc = jsonio::uintField(text, "crc", gctx, objPos);
         meta.continuation =
-            jsonio::uintField(obj, "continuation", gctx) != 0;
-        meta.envName = jsonio::stringField(obj, "env", gctx);
-        meta.agentName = jsonio::stringField(obj, "agent", gctx);
-        meta.hyperParams = jsonio::stringField(obj, "hyper", gctx);
+            jsonio::uintField(text, "continuation", gctx, objPos) != 0;
+        meta.envName = jsonio::stringField(text, "env", gctx, objPos);
+        meta.agentName = jsonio::stringField(text, "agent", gctx, objPos);
+        std::size_t objEnd = jsonio::valuePos(text, "hyper", gctx, objPos);
+        if (!jsonio::readString(text, objEnd, meta.hyperParams))
+            throw std::runtime_error(gctx + ": bad string for 'hyper'");
+        if (objEnd >= text.size() || text[objEnd] != '}')
+            throw std::runtime_error(gctx + ": unterminated group entry");
         if (meta.rows == 0)
             throw std::runtime_error(gctx + ": empty row group");
         rowSum += static_cast<std::size_t>(meta.rows);

@@ -1,13 +1,10 @@
 #include "driver.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -18,6 +15,7 @@
 #include "core/fsio.h"
 #include "core/jsonio.h"
 #include "core/lease.h"
+#include "core/shard_store.h"
 #include "core/worker_pool.h"
 
 namespace archgym {
@@ -234,103 +232,75 @@ renderManifest(const ManifestFields &m)
     return os.str();
 }
 
-/** Shard file basename, zero-padded for sorted-order loading. */
-std::string
-shardStem(std::size_t shard)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "shard_%04zu", shard);
-    return buf;
-}
-
-/** One per-configuration result line of a shard .jsonl file. */
-std::string
-renderResultLine(std::size_t config_index, std::uint64_t seed,
-                 const HyperParams &hp, const RunResult &run)
-{
-    std::string line = "{\"config\":";
-    line += std::to_string(config_index);
-    line += ",\"seed\":";
-    line += std::to_string(seed);
-    line += ",\"bestReward\":";
-    jsonio::appendDouble(line, run.bestReward);
-    line += ",\"bestSampleIndex\":";
-    line += std::to_string(run.bestSampleIndex);
-    line += ",\"samplesUsed\":";
-    line += std::to_string(run.samplesUsed);
-    line += ",\"bestAction\":[";
-    for (std::size_t i = 0; i < run.bestAction.size(); ++i) {
-        if (i)
-            line.push_back(',');
-        jsonio::appendDouble(line, run.bestAction[i]);
-    }
-    line += "],\"hyper\":\"";
-    line += jsonio::escape(hp.str());
-    line += "\"}\n";
-    return line;
-}
-
 /**
- * Final-format gap line of a quarantined configuration. Deliberately
- * deterministic: class and error come from the configuration's own
- * failure (identical on every worker), never from worker identity,
- * timestamps, or measured durations — so finals stay byte-identical
- * at any worker count and across any steal/resume schedule.
+ * Validate-or-write the manifest: resuming a directory that belongs to
+ * a *different* sweep must fail loudly, never mix results. Every
+ * mismatch names the offending field and both values.
  */
-std::string
-renderGapLine(std::size_t config_index, std::uint64_t seed,
-              const HyperParams &hp, std::size_t attempts,
-              const std::string &failure_class, const std::string &error)
+void
+checkOrWriteManifest(const fs::path &path, const ManifestFields &manifest)
 {
-    std::string line = "{\"config\":";
-    line += std::to_string(config_index);
-    line += ",\"seed\":";
-    line += std::to_string(seed);
-    line += ",\"bestReward\":";
-    jsonio::appendDouble(line,
-                         -std::numeric_limits<double>::infinity());
-    line += ",\"bestSampleIndex\":0,\"samplesUsed\":0,\"bestAction\":[]";
-    line += ",\"quarantined\":1,\"attempts\":";
-    line += std::to_string(attempts);
-    line += ",\"failureClass\":\"";
-    line += jsonio::escape(failure_class);
-    line += "\",\"error\":\"";
-    line += jsonio::escape(error);
-    line += "\",\"hyper\":\"";
-    line += jsonio::escape(hp.str());
-    line += "\"}\n";
-    return line;
+    if (!fs::exists(path)) {
+        // Durable atomic create. Two workers racing here both render
+        // identical bytes, so the second rename is a no-op overwrite.
+        fsio::atomicWriteFile(path.string(), renderManifest(manifest));
+        return;
+    }
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const std::string ctx = "manifest " + path.string();
+    if (text.empty())
+        throw std::runtime_error(
+            ctx + ": file is empty (torn or zeroed write) — delete it to "
+                  "restart the sweep");
+    const auto check = [&](const std::string &key, std::uint64_t expected) {
+        const std::uint64_t got = jsonio::uintField(text, key, ctx);
+        if (got != expected)
+            throw std::runtime_error(
+                ctx + ": '" + key + "' is " + std::to_string(got) +
+                ", requested sweep has " + std::to_string(expected) +
+                " — not the same sweep");
+    };
+    const auto checkString = [&](const std::string &key,
+                                 const std::string &expected) {
+        const std::string got = jsonio::stringField(text, key, ctx);
+        if (got != expected)
+            throw std::runtime_error(
+                ctx + ": '" + key + "' is \"" + got +
+                "\", requested sweep has \"" + expected +
+                "\" — not the same sweep");
+    };
+    checkString("env", manifest.env);
+    checkString("agent", manifest.agent);
+    check("configCount", manifest.configCount);
+    check("shardSize", manifest.shardSize);
+    check("baseSeed", manifest.baseSeed);
+    check("maxSamples", manifest.maxSamples);
+    check("stopWhenSatisfied", manifest.stopWhenSatisfied);
+    check("batchEval", manifest.batchEval);
+    check("exportDataset", manifest.exportDataset);
+    check("configsHash", manifest.hash);
 }
 
-/** One attempt record of the durable quarantine ledger. */
-std::string
-renderAttemptLine(std::size_t config_index, std::uint64_t seed,
-                  std::size_t attempt, const std::string &failure_class,
-                  const std::string &error, const std::string &worker)
+/** A sweep result with no shard ingested yet. */
+ShardedSweepResult
+emptySweepResult(const std::string &agent_name,
+                 const std::vector<HyperParams> &configs,
+                 std::uint64_t base_seed)
 {
-    std::string line = "{\"config\":";
-    line += std::to_string(config_index);
-    line += ",\"seed\":";
-    line += std::to_string(seed);
-    line += ",\"attempt\":";
-    line += std::to_string(attempt);
-    line += ",\"class\":\"";
-    line += jsonio::escape(failure_class);
-    line += "\",\"error\":\"";
-    line += jsonio::escape(error);
-    line += "\",\"worker\":\"";
-    line += jsonio::escape(worker);
-    line += "\"}\n";
-    return line;
-}
-
-/** Does one of our JSON lines carry `"key":` at all? (For fields that
- *  are only present on gap records.) */
-bool
-hasField(const std::string &line, const char *key)
-{
-    return line.find(std::string("\"") + key + "\":") !=
-           std::string::npos;
+    ShardedSweepResult result;
+    result.agentName = agent_name;
+    result.configs = configs;
+    result.bestRewards.assign(configs.size(),
+                              -std::numeric_limits<double>::infinity());
+    result.bestActions.resize(configs.size());
+    result.samplesUsed.assign(configs.size(), 0);
+    result.quarantined.assign(configs.size(), 0);
+    result.seeds.resize(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        result.seeds[i] = sweepConfigSeed(base_seed, i);
+    return result;
 }
 
 /** Per-config attempt history recovered from a quarantine ledger. */
@@ -340,6 +310,244 @@ struct LedgerEntry
     std::string failureClass;   ///< of the latest attempt
     std::string error;          ///< of the latest attempt
 };
+
+/** What running a claimed shard needs from one runSweepSharded call. */
+struct ShardRunner
+{
+    const EnvFactory &envFactory;
+    const AgentBuilder &builder;
+    const std::vector<HyperParams> &configs;
+    const ShardedSweepOptions &options;
+    const Environment &metaEnv;  ///< CSV schema and gap-block env name
+    const std::string &agentName;
+    const std::string workerId;
+    RunConfig shardRun;
+    std::size_t numThreads;
+    // One private environment per logical worker slot, reused across
+    // every shard this invocation runs (same discipline and same
+    // determinism argument as runSweepParallel).
+    std::vector<std::unique_ptr<Environment>> envs;
+    ShardedSweepResult &result;
+
+    bool runShard(std::size_t shard, std::size_t lo, std::size_t hi,
+                  ShardStore &store, ShardLease &lease);
+    void runConfig(std::size_t shard, std::size_t slot, std::size_t i,
+                   ShardStore &store, const LedgerEntry &prior);
+
+    // Results come from the finals only, whoever wrote them, so fresh,
+    // repaired and resumed runs are reported from the same bytes.
+    void ingest(const ShardStore &store)
+    {
+        for (const ResultRecord &r : store.readFinals()) {
+            result.bestRewards[r.config] = r.bestReward;
+            result.bestActions[r.config] = r.bestAction;
+            result.samplesUsed[r.config] = r.samplesUsed;
+            result.quarantined[r.config] = r.quarantined ? 1 : 0;
+        }
+    }
+
+    // A completed shard (by an earlier invocation or a live peer) is
+    // re-ingested instead of re-run, and the partial log a worker that
+    // died after the renames left behind is swept up.
+    void adopt(const ShardStore &store)
+    {
+        ingest(store);
+        store.removePartial();
+        ++result.shardsSkipped;
+    }
+
+    std::string csvBlock(const TrajectoryLog &log) const
+    {
+        std::ostringstream os;
+        log.writeCsv(os, metaEnv.actionSpace(), metaEnv.metricNames());
+        return os.str();
+    }
+};
+
+/**
+ * Execute one claimed shard: repair from the previous owner's partial
+ * log, run what is missing, finalise, release the lease. Returns false
+ * when this worker was fenced (a peer stole the lease mid-run and
+ * finished first); the caller then ingests the peer's finals instead.
+ */
+bool
+ShardRunner::runShard(std::size_t shard, std::size_t lo, std::size_t hi,
+                      ShardStore &store, ShardLease &lease)
+{
+    // Repair pass: keep every run a previous owner made durable
+    // (resume granularity is one run) and append after it. A durable
+    // gap record repairs like any other run: the previous owner already
+    // paid the attempts, never re-run.
+    std::vector<bool> durable(hi - lo, false);
+    const std::vector<std::size_t> repaired = store.repair();
+    for (const std::size_t config : repaired)
+        durable[config - lo] = true;
+    result.runsRepaired += repaired.size();
+
+    // Durable attempt history of this shard's poison candidates: what
+    // previous owners already tried, by config. The ledger outlives
+    // steals *and* shard completion (it is the quarantine post-mortem
+    // record), so attempt budgets are fleet-wide.
+    std::map<std::size_t, LedgerEntry> ledger;
+    if (options.attempts.isolated()) {
+        for (const AttemptRecord &a : store.readLedger()) {
+            LedgerEntry &entry = ledger[a.config];
+            if (a.attempt > entry.attempts)
+                entry = LedgerEntry{a.attempt, a.failureClass, a.error};
+        }
+    }
+
+    std::vector<std::size_t> missing;
+    for (std::size_t i = lo; i < hi; ++i)
+        if (!durable[i - lo])
+            missing.push_back(i);
+
+    WorkerPool::shared().parallelFor(
+        missing.size(),
+        [&](std::size_t slot, std::size_t m) {
+            // Fenced while mid-shard (a peer judged us dead and stole
+            // the lease): stop burning work, the finalise step below
+            // yields to the thief's results.
+            if (lease.lost())
+                return;
+            const auto it = ledger.find(missing[m]);
+            runConfig(shard, slot, missing[m], store,
+                      it == ledger.end() ? LedgerEntry{} : it->second);
+        },
+        numThreads, /*chunk=*/1);
+
+    // A fenced stale owner must never reach the renames at all: an
+    // isolated run that overstays its deadline here while the thief
+    // *succeeds* on the same config would finalise a gap record over
+    // the thief's real result. Yield first.
+    if (lease.lost() || store.finalsExist()) {
+        lease.release();  // ownership-checked no-op if stolen
+        return false;
+    }
+    try {
+        store.finalise();
+    } catch (const std::exception &) {
+        // A peer that stole our stale lease may have rewritten the
+        // partial log or removed our staging files; if it finished the
+        // shard (or our lease is gone), yield to it.
+        if (lease.lost() || store.finalsExist()) {
+            lease.release();
+            return false;
+        }
+        throw;
+    }
+    lease.release();
+    return true;
+}
+
+/**
+ * Run config `i` until it succeeds or exhausts its attempt budget
+ * (resuming the count from the ledger), persisting every failed
+ * attempt and the final outcome before reporting it.
+ */
+void
+ShardRunner::runConfig(std::size_t shard, std::size_t slot, std::size_t i,
+                       ShardStore &store, const LedgerEntry &prior)
+{
+    const RunAttemptPolicy &pol = options.attempts;
+    const bool isolated = pol.isolated();
+    const std::size_t maxAttempts = std::max<std::size_t>(1, pol.maxAttempts);
+    const auto persisted = [&] {
+        if (faultHooks().afterRunPersisted)
+            faultHooks().afterRunPersisted(workerId, shard, i);
+    };
+
+    ResultRecord record;
+    record.config = i;
+    record.seed = result.seeds[i];
+    record.hyper = configs[i].str();
+    std::size_t attempt = prior.attempts;
+    std::string failClass = prior.failureClass;
+    std::string failError = prior.error;
+
+    while (attempt < maxAttempts) {
+        if (attempt > 0) {
+            const std::uint64_t delayMs =
+                attemptBackoffMs(pol, record.seed, attempt);
+            if (delayMs)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(delayMs));
+        }
+        bool ok = false;
+        RunResult run;
+        try {
+            // Arm the deadline before anything the attempt executes
+            // (including the beforeRun hook): a hang anywhere inside
+            // the attempt counts against it, and the lease watchdog
+            // sees the overstay even if no checkpoint ever runs.
+            resilience::CancelScope scope(workerId,
+                                          isolated ? pol.runDeadlineMs : 0);
+            if (faultHooks().beforeRun)
+                faultHooks().beforeRun(workerId, shard, i);
+            auto &env = envs[slot];
+            if (!env)
+                env = envFactory();
+            auto agent = builder(env->actionSpace(), configs[i], record.seed);
+            run = runSearch(*env, *agent, shardRun);
+            ok = true;
+        } catch (const WorkerKilled &) {
+            throw;  // injected SIGKILL: never isolated
+        } catch (const RunTimeout &e) {
+            if (!isolated)
+                throw;
+            failClass = "timeout";
+            failError = e.what();
+        } catch (const std::exception &e) {
+            if (!isolated)
+                throw;
+            failClass = "throw";
+            failError = e.what();
+        }
+        if (ok) {
+            record.bestReward = run.bestReward;
+            record.bestSampleIndex = run.bestSampleIndex;
+            record.samplesUsed = run.samplesUsed;
+            record.bestAction = run.bestAction;
+            // Run-granular durability: persist before reporting.
+            store.appendRun(record, options.exportDataset
+                                        ? csvBlock(run.trajectory)
+                                        : std::string());
+            persisted();
+            return;
+        }
+        ++attempt;
+        // The attempt count becomes durable *before* any retry: a thief
+        // that steals this shard resumes the count where it stands —
+        // without this, every thief restarts the budget and a poison
+        // config livelocks the fleet.
+        store.appendAttempt(AttemptRecord{i, record.seed, attempt, failClass,
+                                          failError, workerId});
+        persisted();
+    }
+
+    if (!pol.quarantine)
+        throw std::runtime_error("sweep config " + std::to_string(i) +
+                                 " failed after " + std::to_string(attempt) +
+                                 " attempts (" + failClass +
+                                 "): " + failError);
+
+    // Quarantine: the configuration is accounted for with a
+    // deterministic gap record (result line + empty dataset block), so
+    // the sweep completes degraded and the finals stay byte-identical
+    // on every worker. Class and error come from the configuration's
+    // own failure, never from worker identity or timing.
+    record.quarantined = true;
+    record.attempts = attempt;
+    record.failureClass = failClass;
+    record.error = failError;
+    store.appendRun(record,
+                    options.exportDataset
+                        ? csvBlock(TrajectoryLog(metaEnv.name(), agentName,
+                                                 record.hyper)) +
+                              "# quarantined=1\n"
+                        : std::string());
+    persisted();
+}
 
 } // namespace
 
@@ -363,96 +571,35 @@ runSweepSharded(const EnvFactory &env_factory,
     // One metadata environment per invocation: its name() anchors the
     // manifest to the environment family (resuming a directory that
     // belongs to another environment must fail, not re-ingest foreign
-    // results), and it supplies the action space / metric names for
-    // the streaming trajectory writers.
+    // results), and it supplies the action space / metric names of the
+    // exported trajectory blocks.
     const std::unique_ptr<Environment> metaEnv = env_factory();
 
-    ManifestFields manifest;
-    manifest.env = metaEnv->name();
-    manifest.agent = agent_name;
-    manifest.configCount = configs.size();
-    manifest.shardSize = options.shardSize;
-    manifest.baseSeed = base_seed;
-    manifest.maxSamples = run_config.maxSamples;
-    manifest.stopWhenSatisfied = run_config.stopWhenSatisfied ? 1 : 0;
-    manifest.batchEval = run_config.batchEval ? 1 : 0;
-    manifest.exportDataset = options.exportDataset ? 1 : 0;
-    manifest.hash = sweepConfigsHash(configs);
-
-    // Validate-or-write the manifest: resuming a directory that belongs
-    // to a *different* sweep must fail loudly, never mix results. Every
-    // mismatch names the offending field and both values.
-    const fs::path manifestPath = dir / "manifest.json";
-    if (fs::exists(manifestPath)) {
-        std::ifstream in(manifestPath);
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        const std::string ctx = "manifest " + manifestPath.string();
-        if (text.empty())
-            throw std::runtime_error(
-                ctx + ": file is empty (torn or zeroed write) — delete "
-                      "it to restart the sweep");
-        const auto check = [&](const std::string &key,
-                               std::uint64_t expected) {
-            const std::uint64_t got = jsonio::uintField(text, key, ctx);
-            if (got != expected)
-                throw std::runtime_error(
-                    ctx + ": '" + key + "' is " + std::to_string(got) +
-                    ", requested sweep has " + std::to_string(expected) +
-                    " — not the same sweep");
-        };
-        const auto checkString = [&](const std::string &key,
-                                     const std::string &expected) {
-            const std::string got = jsonio::stringField(text, key, ctx);
-            if (got != expected)
-                throw std::runtime_error(
-                    ctx + ": '" + key + "' is \"" + got +
-                    "\", requested sweep has \"" + expected +
-                    "\" — not the same sweep");
-        };
-        checkString("env", manifest.env);
-        checkString("agent", agent_name);
-        check("configCount", manifest.configCount);
-        check("shardSize", manifest.shardSize);
-        check("baseSeed", manifest.baseSeed);
-        check("maxSamples", manifest.maxSamples);
-        check("stopWhenSatisfied", manifest.stopWhenSatisfied);
-        check("batchEval", manifest.batchEval);
-        check("exportDataset", manifest.exportDataset);
-        check("configsHash", manifest.hash);
-    } else {
-        // Durable atomic create. Two workers racing here both render
-        // identical bytes, so the second rename is a no-op overwrite.
-        fsio::atomicWriteFile(manifestPath.string(),
-                              renderManifest(manifest));
-    }
+    checkOrWriteManifest(
+        dir / "manifest.json",
+        ManifestFields{.env = metaEnv->name(),
+                       .agent = agent_name,
+                       .configCount = configs.size(),
+                       .shardSize = options.shardSize,
+                       .baseSeed = base_seed,
+                       .maxSamples = run_config.maxSamples,
+                       .stopWhenSatisfied = run_config.stopWhenSatisfied,
+                       .batchEval = run_config.batchEval,
+                       .exportDataset = options.exportDataset,
+                       .hash = sweepConfigsHash(configs)});
 
     const std::size_t shardCount =
         (configs.size() + options.shardSize - 1) / options.shardSize;
 
-    ShardedSweepResult result;
-    result.agentName = agent_name;
-    result.configs = configs;
-    result.bestRewards.assign(configs.size(),
-                              -std::numeric_limits<double>::infinity());
-    result.bestActions.resize(configs.size());
-    result.samplesUsed.assign(configs.size(), 0);
-    result.quarantined.assign(configs.size(), 0);
-    result.seeds.resize(configs.size());
+    ShardedSweepResult result =
+        emptySweepResult(agent_name, configs, base_seed);
     result.shardCount = shardCount;
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        result.seeds[i] = sweepConfigSeed(base_seed, i);
 
     std::size_t numThreads = options.numThreads;
     if (numThreads == 0)
         numThreads = std::max(1u, std::thread::hardware_concurrency());
     numThreads = std::min(
         numThreads, std::max<std::size_t>(1, options.shardSize));
-
-    // One private environment per logical worker slot, reused across
-    // every shard this invocation runs (same discipline and same
-    // determinism argument as runSweepParallel).
-    std::vector<std::unique_ptr<Environment>> envs(numThreads);
 
     LeaseOptions leaseOpts;
     leaseOpts.workerId = options.workerId.empty()
@@ -461,425 +608,15 @@ runSweepSharded(const EnvFactory &env_factory,
     leaseOpts.ttlMs = options.leaseTtlMs;
     leaseOpts.heartbeatMs = options.heartbeatMs;
 
-    // Ingest a completed shard's final .jsonl into the result arrays.
-    // Corruption (truncation, appended garbage, foreign results) fails
-    // loudly with the offending line number — never a silent
-    // mis-resume.
-    const auto ingestFinal = [&](const fs::path &jsonlPath,
-                                 std::size_t lo, std::size_t hi) {
-        std::ifstream in(jsonlPath);
-        std::string line;
-        std::size_t next = lo;
-        std::size_t lineno = 0;
-        while (std::getline(in, line)) {
-            ++lineno;
-            const std::string ctx = "shard results " +
-                                    jsonlPath.string() + ":" +
-                                    std::to_string(lineno);
-            if (line.empty())
-                throw std::runtime_error(
-                    ctx + ": empty line (truncated write?) — delete "
-                          "the shard files to re-run it");
-            // A structurally whole record ends in '}'; a mid-line
-            // truncation otherwise parses as a silently shorter
-            // bestAction array.
-            if (line.back() != '}')
-                throw std::runtime_error(
-                    ctx + ": line does not end in '}' (truncated "
-                          "write?) — delete the shard files to re-run "
-                          "it");
-            const std::uint64_t idx = jsonio::uintField(line, "config", ctx);
-            if (next >= hi || idx != next)
-                throw std::runtime_error(
-                    ctx + ": unexpected config index " +
-                    std::to_string(idx) + " (expected " +
-                    (next >= hi ? std::string("end of shard")
-                                : std::to_string(next)) +
-                    ") — delete the shard files to re-run it");
-            result.bestRewards[idx] =
-                jsonio::doubleField(line, "bestReward", ctx);
-            result.samplesUsed[idx] = static_cast<std::size_t>(
-                jsonio::uintField(line, "samplesUsed", ctx));
-            result.bestActions[idx] =
-                jsonio::doubleArrayField(line, "bestAction", ctx);
-            result.quarantined[idx] =
-                hasField(line, "quarantined") &&
-                        jsonio::uintField(line, "quarantined", ctx) != 0
-                    ? 1
-                    : 0;
-            const std::uint64_t seed = jsonio::uintField(line, "seed", ctx);
-            if (seed != result.seeds[idx])
-                throw std::runtime_error(
-                    ctx + ": seed is " + std::to_string(seed) +
-                    ", expected " + std::to_string(result.seeds[idx]) +
-                    " at config " + std::to_string(idx) +
-                    " — delete the shard files to re-run it");
-            ++next;
-        }
-        if (next != hi)
-            throw std::runtime_error(
-                "shard results " + jsonlPath.string() + ":" +
-                std::to_string(lineno) + ": holds " +
-                std::to_string(next - lo) + " of " +
-                std::to_string(hi - lo) +
-                " configs — delete the shard files to re-run it");
-    };
-
-    // Execute one claimed shard: clean stale tmps, repair from the
-    // previous owner's partial files, run what is missing, finalize
-    // atomically, release the lease. Returns false when this worker
-    // was fenced (a peer stole the lease mid-run and finished first);
-    // the caller then ingests the peer's final files instead.
-    const auto runShard = [&](std::size_t shard, std::size_t lo,
-                              std::size_t hi, ShardLease &lease) {
-        const std::string stem = shardStem(shard);
-        const fs::path jsonlPath = dir / (stem + ".jsonl");
-        const fs::path csvPath = dir / (stem + ".csv");
-        const fs::path partialJsonl = dir / (stem + ".partial.jsonl");
-        const fs::path partialCsvf = dir / (stem + ".partial.csvf");
-        const auto finalsExist = [&] {
-            return fs::exists(jsonlPath) &&
-                   (!options.exportDataset || fs::exists(csvPath));
-        };
-
-        // Discard the previous owner's half-written rename staging
-        // files (unique .tmp.* names, so live peers of *other* shards
-        // are never touched).
-        for (const auto &entry : fs::directory_iterator(dir)) {
-            const std::string name = entry.path().filename().string();
-            if (name.compare(0, stem.size(), stem) == 0 &&
-                name.find(".tmp") != std::string::npos)
-                fs::remove(entry.path());
-        }
-        // exportDataset with a .jsonl but no .csv (manual deletion):
-        // drop the orphan marker and re-run the shard whole.
-        if (fs::exists(jsonlPath) && !finalsExist())
-            fs::remove(jsonlPath);
-
-        // Repair pass: re-ingest every run the previous owner durably
-        // appended. A run is durable when its checksummed result line
-        // is intact AND (with exportDataset) its trajectory frame is
-        // too; the writers order frame-before-line, so the line is
-        // normally the deciding record.
-        const PartialReadResult pr =
-            readPartialResultLines(partialJsonl.string());
-        PartialCsvReadResult cr;
-        if (options.exportDataset)
-            cr = readPartialCsvFrames(partialCsvf.string());
-
-        std::map<std::size_t, const PartialCsvRecord *> frames;
-        for (const auto &rec : cr.records)
-            frames.emplace(rec.config, &rec);  // keep-first dedupe
-
-        std::map<std::size_t, std::string> durable;
-        for (const auto &rec : pr.records) {
-            const std::string ctx = "shard partial " +
-                                    partialJsonl.string();
-            if (rec.config < lo || rec.config >= hi)
-                throw std::runtime_error(
-                    ctx + ": config index " +
-                    std::to_string(rec.config) +
-                    " is outside this shard [" + std::to_string(lo) +
-                    ", " + std::to_string(hi) +
-                    ") — delete the partial files to re-run it");
-            const std::uint64_t seed =
-                jsonio::uintField(rec.resultLine, "seed", ctx);
-            if (seed != result.seeds[rec.config])
-                throw std::runtime_error(
-                    ctx + ": seed is " + std::to_string(seed) +
-                    ", expected " +
-                    std::to_string(result.seeds[rec.config]) +
-                    " at config " + std::to_string(rec.config) +
-                    " — delete the partial files to re-run it");
-            if (durable.count(rec.config))
-                continue;  // duplicate from a double-execution race
-            if (options.exportDataset && !frames.count(rec.config))
-                continue;  // line durable but frame lost: re-run it
-            durable.emplace(rec.config, rec.resultLine);
-        }
-
-        std::unique_ptr<StreamingDatasetWriter> writer;
-        std::string csvTmp;
-        if (options.exportDataset) {
-            csvTmp = fsio::uniqueTmpPath(csvPath.string());
-            writer = std::make_unique<StreamingDatasetWriter>(
-                csvTmp, metaEnv->actionSpace(), metaEnv->metricNames(),
-                lo, hi - lo);
-        }
-
-        // Pre-feed repaired runs into the result arrays, the final
-        // line buffer and the streaming CSV; then truncate the torn
-        // partial tails and keep appending where the dead worker
-        // stopped.
-        std::vector<std::string> lines(hi - lo);
-        for (const auto &[config, line] : durable) {
-            const std::string ctx = "shard partial " +
-                                    partialJsonl.string();
-            result.bestRewards[config] =
-                jsonio::doubleField(line, "bestReward", ctx);
-            result.samplesUsed[config] = static_cast<std::size_t>(
-                jsonio::uintField(line, "samplesUsed", ctx));
-            result.bestActions[config] =
-                jsonio::doubleArrayField(line, "bestAction", ctx);
-            // A durable gap record repairs like any other run: the
-            // previous owner already paid the attempts, never re-run.
-            result.quarantined[config] =
-                hasField(line, "quarantined") ? 1 : 0;
-            lines[config - lo] = line;
-            if (writer)
-                writer->appendSerialized(config,
-                                         frames.at(config)->block);
-        }
-        result.runsRepaired += durable.size();
-
-        ShardPartialWriter pw(
-            partialJsonl.string(),
-            options.exportDataset ? partialCsvf.string() : std::string(),
-            pr.validBytes, cr.validBytes);
-
-        // Durable attempt history of this shard's poison candidates:
-        // what previous owners already tried, by config. The ledger
-        // outlives steals *and* shard completion (it is the quarantine
-        // post-mortem record), so attempt budgets are fleet-wide.
-        const fs::path quarantinePath =
-            dir / (stem + ".quarantine.jsonl");
-        const RunAttemptPolicy &pol = options.attempts;
-        const std::size_t maxAttempts =
-            std::max<std::size_t>(1, pol.maxAttempts);
-        const bool isolated = pol.isolated();
-        PartialReadResult qr;
-        std::map<std::size_t, LedgerEntry> ledger;
-        if (isolated) {
-            qr = readPartialResultLines(quarantinePath.string());
-            for (const auto &rec : qr.records) {
-                const std::string ctx =
-                    "shard quarantine " + quarantinePath.string();
-                if (rec.config < lo || rec.config >= hi)
-                    throw std::runtime_error(
-                        ctx + ": config index " +
-                        std::to_string(rec.config) +
-                        " is outside this shard [" + std::to_string(lo) +
-                        ", " + std::to_string(hi) +
-                        ") — delete the ledger to re-run it");
-                const std::uint64_t seed =
-                    jsonio::uintField(rec.resultLine, "seed", ctx);
-                if (seed != result.seeds[rec.config])
-                    throw std::runtime_error(
-                        ctx + ": seed is " + std::to_string(seed) +
-                        ", expected " +
-                        std::to_string(result.seeds[rec.config]) +
-                        " at config " + std::to_string(rec.config) +
-                        " — delete the ledger to re-run it");
-                const auto attempt = static_cast<std::size_t>(
-                    jsonio::uintField(rec.resultLine, "attempt", ctx));
-                LedgerEntry &entry = ledger[rec.config];
-                if (attempt > entry.attempts) {
-                    entry.attempts = attempt;
-                    entry.failureClass = jsonio::stringField(
-                        rec.resultLine, "class", ctx);
-                    entry.error =
-                        jsonio::stringField(rec.resultLine, "error", ctx);
-                }
-            }
-        }
-        std::mutex ledgerMutex;
-        std::unique_ptr<ShardPartialWriter> ledgerWriter;
-        const auto appendAttempt = [&](std::size_t config,
-                                       std::size_t attempt,
-                                       const std::string &failure_class,
-                                       const std::string &error) {
-            std::lock_guard<std::mutex> lock(ledgerMutex);
-            if (!ledgerWriter)
-                ledgerWriter = std::make_unique<ShardPartialWriter>(
-                    quarantinePath.string(), std::string(),
-                    qr.validBytes, 0);
-            ledgerWriter->append(
-                config,
-                renderAttemptLine(config, result.seeds[config], attempt,
-                                  failure_class, error,
-                                  leaseOpts.workerId),
-                std::string());
-        };
-
-        RunConfig shardRun = run_config;
-        // The engine persists scalars + streamed trajectories only;
-        // retaining per-run curves/logs in memory would defeat the
-        // bounded-memory contract.
-        shardRun.recordRewardHistory = false;
-        shardRun.logTrajectory = options.exportDataset;
-
-        std::vector<std::size_t> missing;
-        missing.reserve(hi - lo - durable.size());
-        for (std::size_t i = lo; i < hi; ++i)
-            if (!durable.count(i))
-                missing.push_back(i);
-
-        WorkerPool::shared().parallelFor(
-            missing.size(),
-            [&](std::size_t slot, std::size_t m) {
-                // Fenced while mid-shard (a peer judged us dead and
-                // stole the lease): stop burning work, the finalize
-                // step below yields to the thief's results.
-                if (lease.lost())
-                    return;
-                const std::size_t i = missing[m];
-                const std::uint64_t seed = result.seeds[i];
-
-                std::size_t attempt = 0;
-                std::string failClass, failError;
-                if (isolated) {
-                    if (const auto it = ledger.find(i);
-                        it != ledger.end()) {
-                        attempt = it->second.attempts;
-                        failClass = it->second.failureClass;
-                        failError = it->second.error;
-                    }
-                }
-
-                bool succeeded = false;
-                RunResult run;
-                while (attempt < maxAttempts) {
-                    if (attempt > 0) {
-                        const std::uint64_t delayMs =
-                            attemptBackoffMs(pol, seed, attempt);
-                        if (delayMs)
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(delayMs));
-                    }
-                    bool ok = false;
-                    try {
-                        // Arm the deadline before anything the attempt
-                        // executes (including the beforeRun hook): a
-                        // hang anywhere inside the attempt counts
-                        // against it, and the lease watchdog sees the
-                        // overstay even if no checkpoint ever runs.
-                        resilience::CancelScope scope(
-                            leaseOpts.workerId,
-                            isolated ? pol.runDeadlineMs : 0);
-                        if (faultHooks().beforeRun)
-                            faultHooks().beforeRun(leaseOpts.workerId,
-                                                   shard, i);
-                        auto &env = envs[slot];
-                        if (!env)
-                            env = env_factory();
-                        auto agent =
-                            builder(env->actionSpace(), configs[i], seed);
-                        run = runSearch(*env, *agent, shardRun);
-                        ok = true;
-                    } catch (const WorkerKilled &) {
-                        throw;  // injected SIGKILL: never isolated
-                    } catch (const RunTimeout &e) {
-                        if (!isolated)
-                            throw;
-                        failClass = "timeout";
-                        failError = e.what();
-                    } catch (const std::exception &e) {
-                        if (!isolated)
-                            throw;
-                        failClass = "throw";
-                        failError = e.what();
-                    }
-                    if (ok) {
-                        succeeded = true;
-                        break;
-                    }
-                    ++attempt;
-                    // The attempt count becomes durable *before* any
-                    // retry: a thief that steals this shard resumes
-                    // the count where it stands — without this, every
-                    // thief restarts the budget and a poison config
-                    // livelocks the fleet.
-                    appendAttempt(i, attempt, failClass, failError);
-                    if (faultHooks().afterRunPersisted)
-                        faultHooks().afterRunPersisted(
-                            leaseOpts.workerId, shard, i);
-                }
-
-                if (succeeded) {
-                    result.bestRewards[i] = run.bestReward;
-                    result.bestActions[i] = run.bestAction;
-                    result.samplesUsed[i] = run.samplesUsed;
-                    lines[i - lo] =
-                        renderResultLine(i, seed, configs[i], run);
-                    std::string block;
-                    if (writer)
-                        block = writer->serializeBlock(run.trajectory);
-                    // Run-granular durability: persist before reporting.
-                    pw.append(i, lines[i - lo], block);
-                    if (faultHooks().afterRunPersisted)
-                        faultHooks().afterRunPersisted(
-                            leaseOpts.workerId, shard, i);
-                    if (writer)
-                        writer->appendSerialized(i, block);
-                    return;
-                }
-
-                if (!pol.quarantine)
-                    throw std::runtime_error(
-                        "sweep config " + std::to_string(i) +
-                        " failed after " + std::to_string(attempt) +
-                        " attempts (" + failClass + "): " + failError);
-
-                // Quarantine: the configuration is accounted for with
-                // a deterministic gap record (result line + empty
-                // dataset block), so the sweep completes degraded and
-                // the finals stay byte-identical on every worker.
-                lines[i - lo] = renderGapLine(i, seed, configs[i],
-                                              attempt, failClass,
-                                              failError);
-                result.quarantined[i] = 1;
-                std::string block;
-                if (writer)
-                    block = writer->serializeBlock(TrajectoryLog(
-                                manifest.env, agent_name,
-                                configs[i].str())) +
-                            "# quarantined=1\n";
-                pw.append(i, lines[i - lo], block);
-                if (faultHooks().afterRunPersisted)
-                    faultHooks().afterRunPersisted(leaseOpts.workerId,
-                                                   shard, i);
-                if (writer)
-                    writer->appendSerialized(i, block);
-            },
-            numThreads, /*chunk=*/1);
-
-        // A fenced stale owner must never reach the renames at all:
-        // historically both sides produced byte-identical shards, but
-        // an isolated run that overstays its deadline here while the
-        // thief *succeeds* on the same config would finalize a gap
-        // record over the thief's real result. Yield first.
-        if (lease.lost() || finalsExist()) {
-            lease.release();  // ownership-checked no-op if stolen
-            return false;
-        }
-
-        // Atomic completion: stream-close + rename the CSV first, then
-        // the .jsonl — its presence marks the shard done. Both renames
-        // land from unique tmp names, so even a fenced stale owner
-        // racing the thief only ever renames byte-identical content.
-        try {
-            std::string all;
-            for (const auto &line : lines)
-                all += line;
-            if (writer) {
-                writer->close();
-                fs::rename(csvTmp, csvPath);
-            }
-            fsio::atomicWriteFile(jsonlPath.string(), all);
-        } catch (const std::exception &) {
-            // A peer that stole our stale lease may have removed our
-            // staging files; if it finished the shard (or our lease is
-            // gone), yield to it — the caller re-ingests its finals.
-            if (lease.lost() || finalsExist()) {
-                lease.release();  // ownership-checked no-op if stolen
-                return false;
-            }
-            throw;
-        }
-        pw.closeAndRemove();
-        lease.release();
-        return true;
-    };
+    ShardRunner runner{env_factory, builder, configs, options, *metaEnv,
+                       agent_name, leaseOpts.workerId, run_config,
+                       numThreads, {}, result};
+    runner.envs.resize(numThreads);
+    // The engine persists scalars + streamed trajectories only;
+    // retaining per-run curves/logs in memory would defeat the
+    // bounded-memory contract.
+    runner.shardRun.recordRewardHistory = false;
+    runner.shardRun.logTrajectory = options.exportDataset;
 
     std::vector<bool> ingested(shardCount, false);
     std::size_t remaining = shardCount;
@@ -896,64 +633,41 @@ runSweepSharded(const EnvFactory &env_factory,
             const std::size_t lo = shard * options.shardSize;
             const std::size_t hi =
                 std::min(configs.size(), lo + options.shardSize);
-            const std::string stem = shardStem(shard);
-            const fs::path jsonlPath = dir / (stem + ".jsonl");
-            const fs::path csvPath = dir / (stem + ".csv");
-            const bool finals =
-                fs::exists(jsonlPath) &&
-                (!options.exportDataset || fs::exists(csvPath));
-
-            if (finals) {
-                // Completed (by an earlier invocation or a live peer):
-                // re-ingest instead of re-running, and sweep up any
-                // leftovers a worker that died post-rename left behind.
-                ingestFinal(jsonlPath, lo, hi);
-                std::error_code ec;
-                fs::remove(dir / (stem + ".partial.jsonl"), ec);
-                fs::remove(dir / (stem + ".partial.csvf"), ec);
-                fs::remove(dir / (stem + ".lease"), ec);
-                ingested[shard] = true;
-                ++result.shardsSkipped;
-                --remaining;
-                progress = true;
-                continue;
-            }
-
-            if (options.maxShards != 0 &&
-                result.shardsRun >= options.maxShards) {
-                capped = true;  // interrupted by request
-                break;
-            }
-
-            auto lease =
-                ShardLease::tryAcquire(options.directory, shard,
-                                       leaseOpts);
-            if (!lease)
-                continue;  // a live peer owns it; move on
-            if (lease->stolen())
-                ++result.shardsStolen;
-            if (faultHooks().afterShardClaimed)
-                faultHooks().afterShardClaimed(leaseOpts.workerId, shard);
-
-            // A peer may have finished and released between our scan
-            // and the claim; re-check under ownership.
-            const bool finalsNow =
-                fs::exists(jsonlPath) &&
-                (!options.exportDataset || fs::exists(csvPath));
-            if (finalsNow) {
-                ingestFinal(jsonlPath, lo, hi);
-                std::error_code ec;
-                fs::remove(dir / (stem + ".partial.jsonl"), ec);
-                fs::remove(dir / (stem + ".partial.csvf"), ec);
-                lease->release();
-                ingested[shard] = true;
-                ++result.shardsSkipped;
-            } else if (runShard(shard, lo, hi, *lease)) {
-                ingested[shard] = true;
-                ++result.shardsRun;
+            ShardStore store(options.directory, shard, lo, hi, base_seed,
+                             options.exportDataset);
+            if (store.finalsExist()) {
+                runner.adopt(store);
+                // A worker that died between its renames and its
+                // release leaves a lease only a stale judgement frees.
+                removeDeadLease(options.directory, shard, leaseOpts);
             } else {
-                continue;  // fenced mid-run; re-scan picks up finals
+                if (options.maxShards != 0 &&
+                    result.shardsRun >= options.maxShards) {
+                    capped = true;  // interrupted by request
+                    break;
+                }
+                auto lease = ShardLease::tryAcquire(options.directory,
+                                                    shard, leaseOpts);
+                if (!lease)
+                    continue;  // a live peer owns it; move on
+                if (lease->stolen())
+                    ++result.shardsStolen;
+                if (faultHooks().afterShardClaimed)
+                    faultHooks().afterShardClaimed(leaseOpts.workerId,
+                                                   shard);
+                // A peer may have finished and released between our
+                // scan and the claim; re-check under ownership.
+                if (store.finalsExist()) {
+                    runner.adopt(store);
+                    lease->release();
+                } else if (runner.runShard(shard, lo, hi, store, *lease)) {
+                    runner.ingest(store);
+                    ++result.shardsRun;
+                } else {
+                    continue;  // fenced mid-run; re-scan picks up finals
+                }
             }
+            ingested[shard] = true;
             --remaining;
             progress = true;
         }

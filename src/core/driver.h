@@ -176,8 +176,8 @@ struct ShardedSweepOptions
     /**
      * Directory holding manifest.json + shard_NNNN.{jsonl,csv} plus
      * the cooperative-service files (shard_NNNN.lease,
-     * shard_NNNN.partial.{jsonl,csvf}, sweep.lock). See
-     * core/trajectory.h for the layout and docs/sweep_service.md for
+     * shard_NNNN.partial.log, sweep.lock). See core/shard_store.h
+     * for the layout and docs/sweep_service.md for
      * the lease/heartbeat protocol and the repair pass.
      */
     std::string directory;
@@ -215,10 +215,10 @@ struct ShardedSweepOptions
     std::size_t numThreads = 0;
 
     /**
-     * Stream each run's trajectory into the shard's multi-block CSV as
-     * runs complete (StreamingDatasetWriter). Peak sweep memory then
-     * holds at most the few trajectories completed out of order, never
-     * the whole sweep's.
+     * Export each run's trajectory into the shard's multi-block CSV.
+     * Each run's CSV block goes to disk with its result record as soon
+     * as the run completes, and finalising copies the blocks one at a
+     * time, so peak sweep memory never holds the sweep's trajectories.
      */
     bool exportDataset = false;
 
@@ -237,7 +237,7 @@ struct ShardedSweepOptions
      * failures are classified (throw / timeout — an injected
      * WorkerKilled is never caught), retried with backoff, recorded
      * attempt-by-attempt in the shard's durable
-     * shard_NNNN.quarantine.jsonl ledger (so attempt counts survive
+     * shard_NNNN.quarantine.log ledger (so attempt counts survive
      * steals and resumes), and — with attempts.quarantine — exhausted
      * configurations become deterministic gap records in the final
      * results and dataset instead of killing the fleet.
@@ -272,7 +272,7 @@ struct ShardedSweepResult
     std::size_t shardsSkipped = 0;  ///< resumed from completed files
     std::size_t shardsRun = 0;      ///< executed in this invocation
     std::size_t shardsStolen = 0;   ///< claims that evicted a stale lease
-    std::size_t runsRepaired = 0;   ///< runs re-ingested from partials
+    std::size_t runsRepaired = 0;   ///< runs re-ingested from partial logs
     std::size_t runsQuarantined = 0; ///< gap records, fleet-wide
     bool complete = false;          ///< every shard done
 };
@@ -303,7 +303,7 @@ struct ShardedSweepResult
  * that dies mid-shard leaves a lease whose heartbeat goes stale past
  * leaseTtlMs, after which a peer steals the shard, re-ingests every
  * run the dead worker had durably appended to the shard's checksummed
- * partial files (resume granularity: single run, not whole shard), and
+ * partial log (resume granularity: single run, not whole shard), and
  * runs only the remainder. Results are bit-identical at any worker
  * count and across any kill/steal/repair schedule. Protocol details
  * and TTL tuning: docs/sweep_service.md.

@@ -38,10 +38,11 @@ struct FaultHooks
         beforeRun;
 
     /**
-     * After the run for `config` was appended to the shard's partial
-     * files — the "between any two runs" kill point: throwing
-     * WorkerKilled here simulates a SIGKILL after the run became
-     * durable but before the shard finished.
+     * After the run (or failed attempt) for `config` was appended to
+     * the shard's partial log (or quarantine ledger) — the "between
+     * any two runs" kill point: throwing WorkerKilled here simulates a
+     * SIGKILL after the run became durable but before the shard
+     * finished.
      */
     std::function<void(const std::string &worker, std::size_t shard,
                        std::size_t config)>
@@ -71,7 +72,7 @@ FaultHooks &faultHooks();
  * Thrown by an afterRunPersisted hook to simulate killing the worker
  * between two runs. The sweep engine never catches it: it unwinds out
  * of runSweepSharded exactly like a crash — the lease file stays
- * behind with a stale heartbeat, the partial files keep every
+ * behind with a stale heartbeat, the partial log keeps every
  * persisted run — so peers must detect the death and repair.
  */
 class WorkerKilled : public std::runtime_error

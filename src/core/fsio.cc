@@ -26,14 +26,27 @@ fail(const std::string &what, const std::string &path)
 } // namespace
 
 std::uint64_t
-fnv1a64(std::string_view bytes)
+fnv1a64(std::string_view bytes, std::uint64_t hash)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
     for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
     }
-    return h;
+    return hash;
+}
+
+void
+writeAll(int fd, std::string_view bytes, const std::string &path)
+{
+    while (!bytes.empty()) {
+        const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            fail("write failed on", path);
+        }
+        bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
 }
 
 void
@@ -76,21 +89,12 @@ atomicWriteFile(const std::string &path, const std::string &bytes)
     const int fd = ::open(tmp.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
     if (fd < 0)
         fail("atomicWriteFile: cannot create", tmp);
-    const char *data = bytes.data();
-    std::size_t left = bytes.size();
-    while (left > 0) {
-        const ssize_t n = ::write(fd, data, left);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            const int err = errno;
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            errno = err;
-            fail("atomicWriteFile: write failed on", tmp);
-        }
-        data += n;
-        left -= static_cast<std::size_t>(n);
+    try {
+        writeAll(fd, bytes, tmp);
+    } catch (...) {
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        throw;
     }
     if (::fsync(fd) != 0) {
         const int err = errno;

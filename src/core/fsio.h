@@ -1,7 +1,7 @@
 /**
  * @file
  * Small filesystem-durability utilities shared by the sweep engine's
- * on-disk writers (manifest, shard JSONL, streamed CSV, leases).
+ * on-disk writers (manifest, shard logs and finals, leases).
  *
  * The tmp-then-rename idiom alone only protects against *process*
  * death: after a power loss the renamed file can exist with none of
@@ -22,8 +22,14 @@
 namespace archgym {
 namespace fsio {
 
-/** FNV-1a 64-bit over a byte range (record checksums). */
-std::uint64_t fnv1a64(std::string_view bytes);
+/** FNV-1a 64-bit over a byte range (record checksums); pass a
+ *  previous result as `hash` to checksum a concatenation piecewise. */
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t hash = 0xcbf29ce484222325ULL);
+
+/** Write all of `bytes` to `fd`, retrying short writes and EINTR;
+ *  throws std::runtime_error naming `path`. */
+void writeAll(int fd, std::string_view bytes, const std::string &path);
 
 /** fsync an existing file by path; throws std::runtime_error. */
 void fsyncPath(const std::string &path);
@@ -50,7 +56,8 @@ void atomicWriteFile(const std::string &path, const std::string &bytes);
 
 /**
  * Whole-file binary read; a missing (or unopenable) file reads as "".
- * Shared by the partial-file readers and the columnar dataset index.
+ * Shared by the metadata readers (columnar index, screen record,
+ * stack-distance CDF).
  */
 std::string readFileIfExists(const std::string &path);
 

@@ -153,13 +153,48 @@ readLeaseRecord(const std::string &path, LeaseRecord &out)
     return true;
 }
 
+namespace {
+
+std::string
+leasePathOf(const std::string &dir, std::size_t shard)
+{
+    char stem[32];
+    std::snprintf(stem, sizeof(stem), "shard_%04zu.lease", shard);
+    return dir + "/" + stem;
+}
+
+/** Judge an existing lease under the sweep lock: stale or corrupt. */
+bool
+ownerIsDead(const std::string &path, std::uint64_t ttl_ms)
+{
+    LeaseRecord cur;
+    if (!readLeaseRecord(path, cur))
+        return true;
+    const std::uint64_t now = leaseClockNowNs();
+    return now > cur.heartbeatNs &&
+           now - cur.heartbeatNs > ttl_ms * 1000000ULL;
+}
+
+} // namespace
+
+void
+removeDeadLease(const std::string &dir, std::size_t shard,
+                const LeaseOptions &opts)
+{
+    const std::string leasePath = leasePathOf(dir, shard);
+    if (::access(leasePath.c_str(), F_OK) != 0)
+        return;  // the common case: no lease, no lock taken
+    SweepDirLock lock(dir);
+    if (::access(leasePath.c_str(), F_OK) == 0 &&
+        ownerIsDead(leasePath, opts.ttlMs))
+        ::unlink(leasePath.c_str());
+}
+
 std::unique_ptr<ShardLease>
 ShardLease::tryAcquire(const std::string &dir, std::size_t shard,
                        const LeaseOptions &opts)
 {
-    char stem[32];
-    std::snprintf(stem, sizeof(stem), "shard_%04zu.lease", shard);
-    const std::string leasePath = dir + "/" + stem;
+    const std::string leasePath = leasePathOf(dir, shard);
 
     SweepDirLock lock(dir);
     bool stolen = false;
@@ -168,14 +203,7 @@ ShardLease::tryAcquire(const std::string &dir, std::size_t shard,
         if (errno != EEXIST)
             throw std::runtime_error("lease: cannot create " + leasePath +
                                      ": " + std::strerror(errno));
-        LeaseRecord cur;
-        const bool parsed = readLeaseRecord(leasePath, cur);
-        const std::uint64_t now = leaseClockNowNs();
-        const std::uint64_t ttlNs = opts.ttlMs * 1000000ULL;
-        const bool stale =
-            !parsed ||
-            (now > cur.heartbeatNs && now - cur.heartbeatNs > ttlNs);
-        if (!stale)
+        if (!ownerIsDead(leasePath, opts.ttlMs))
             return nullptr;  // live owner: shard is busy
         ::unlink(leasePath.c_str());
         fd = ::open(leasePath.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
@@ -190,22 +218,12 @@ ShardLease::tryAcquire(const std::string &dir, std::size_t shard,
     const std::string bytes =
         renderLease(opts.workerId, static_cast<std::uint64_t>(::getpid()),
                     nonce, 0, leaseClockNowNs());
-    const char *data = bytes.data();
-    std::size_t left = bytes.size();
-    while (left > 0) {
-        const ssize_t n = ::write(fd, data, left);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            const int err = errno;
-            ::close(fd);
-            ::unlink(leasePath.c_str());
-            throw std::runtime_error("lease: write failed on " +
-                                     leasePath + ": " +
-                                     std::strerror(err));
-        }
-        data += n;
-        left -= static_cast<std::size_t>(n);
+    try {
+        fsio::writeAll(fd, bytes, leasePath);
+    } catch (...) {
+        ::close(fd);
+        ::unlink(leasePath.c_str());
+        throw;
     }
     ::close(fd);
 

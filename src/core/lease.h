@@ -83,6 +83,15 @@ bool readLeaseRecord(const std::string &path, LeaseRecord &out);
 std::uint64_t leaseClockNowNs();
 
 /**
+ * Remove shard `shard`'s lease when its owner is dead (stale or
+ * corrupt lease, judged under the sweep lock exactly like a claim):
+ * the sweep-up after a worker that died between finishing the shard
+ * and releasing. A live owner's lease is left alone.
+ */
+void removeDeadLease(const std::string &dir, std::size_t shard,
+                     const LeaseOptions &opts);
+
+/**
  * An owned shard lease: holds the heartbeat thread for its lifetime.
  * Obtain via tryAcquire(); it is not copyable or movable (the
  * heartbeat thread captures `this`).

@@ -1,9 +1,7 @@
 #include "trajectory.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -13,27 +11,10 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include "core/fsio.h"
+#include "core/jsonio.h"
 
 namespace archgym {
-
-namespace {
-
-/** Shortest round-trip rendering of a double (to_chars). */
-void
-appendDouble(std::string &out, double v)
-{
-    char buf[32];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    out.append(buf, res.ptr);
-}
-
-} // namespace
 
 void
 TrajectoryLog::writeCsv(std::ostream &os, const ParamSpace &space,
@@ -54,15 +35,15 @@ TrajectoryLog::writeCsv(std::ostream &os, const ParamSpace &space,
         for (double a : t.action) {
             if (!first)
                 line.push_back(',');
-            appendDouble(line, a);
+            jsonio::appendDouble(line, a);
             first = false;
         }
         for (double m : t.observation) {
             line.push_back(',');
-            appendDouble(line, m);
+            jsonio::appendDouble(line, m);
         }
         line.push_back(',');
-        appendDouble(line, t.reward);
+        jsonio::appendDouble(line, t.reward);
         line.push_back('\n');
         os << line;
     }
@@ -376,325 +357,6 @@ Dataset::sampleDiverse(std::size_t n, const std::vector<std::string> &agents,
         out.insert(out.end(), drawn.begin(), drawn.end());
     }
     return out;
-}
-
-// ---------------------------------------------------------------------
-// StreamingDatasetWriter
-// ---------------------------------------------------------------------
-
-StreamingDatasetWriter::StreamingDatasetWriter(
-    const std::string &path, const ParamSpace &space,
-    std::vector<std::string> metric_names, std::size_t first_index,
-    std::size_t count)
-    : space_(space), metricNames_(std::move(metric_names)), path_(path),
-      out_(std::make_unique<std::ofstream>(path, std::ios::trunc)),
-      next_(first_index), end_(first_index + count)
-{
-    if (!*out_)
-        throw std::runtime_error("StreamingDatasetWriter: cannot open " +
-                                 path);
-}
-
-StreamingDatasetWriter::~StreamingDatasetWriter() = default;
-
-std::string
-StreamingDatasetWriter::serializeBlock(const TrajectoryLog &log) const
-{
-    std::ostringstream block;
-    log.writeCsv(block, space_, metricNames_);
-    return block.str();
-}
-
-void
-StreamingDatasetWriter::append(std::size_t index, const TrajectoryLog &log)
-{
-    // Serialize outside the lock; only the ordered file append is
-    // critical. Buffering the serialized bytes (not the log) keeps the
-    // out-of-order window cheap: at most ~worker-count blocks.
-    appendSerialized(index, serializeBlock(log));
-}
-
-void
-StreamingDatasetWriter::appendSerialized(std::size_t index,
-                                         std::string bytes)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (index < next_ || index >= end_ || pending_.count(index))
-        throw std::runtime_error(
-            "StreamingDatasetWriter: duplicate or out-of-range index " +
-            std::to_string(index));
-    if (index != next_) {
-        pending_.emplace(index, std::move(bytes));
-        return;
-    }
-    *out_ << bytes;
-    ++next_;
-    // Drain any successors that were only waiting for this index.
-    while (!pending_.empty() && pending_.begin()->first == next_) {
-        *out_ << pending_.begin()->second;
-        pending_.erase(pending_.begin());
-        ++next_;
-    }
-}
-
-void
-StreamingDatasetWriter::close()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!out_->is_open())
-        return;
-    if (next_ != end_)
-        throw std::runtime_error(
-            "StreamingDatasetWriter: closed with runs missing (next " +
-            std::to_string(next_) + ", expected " + std::to_string(end_) +
-            ")");
-    out_->flush();
-    if (!*out_)
-        throw std::runtime_error(
-            "StreamingDatasetWriter: flush failed on close");
-    out_->close();
-    // The file is about to be renamed into place as a completed-shard
-    // artifact; fsync first so the rename never publishes empty data
-    // blocks after a power loss (see core/fsio.h).
-    fsio::fsyncPath(path_);
-}
-
-std::size_t
-StreamingDatasetWriter::written() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return next_;
-}
-
-// ---------------------------------------------------------------------
-// Run-granular shard partial files (writer + validating readers)
-// ---------------------------------------------------------------------
-
-namespace {
-
-constexpr const char *kCrcKey = ",\"crc\":";
-constexpr const char *kFrameMagic = "#@run ";
-
-/** Open a partial file for appending after a truncate-to-valid. */
-int
-openPartialAppend(const std::string &path, std::size_t keep_bytes)
-{
-    const int fd =
-        ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-    if (fd < 0)
-        throw std::runtime_error("partial: cannot open " + path + ": " +
-                                 std::strerror(errno));
-    // Drop a torn/corrupt tail so new records continue after the last
-    // intact one; with O_APPEND every later write lands at the new end.
-    if (::ftruncate(fd, static_cast<off_t>(keep_bytes)) != 0) {
-        const int err = errno;
-        ::close(fd);
-        throw std::runtime_error("partial: truncate failed on " + path +
-                                 ": " + std::strerror(err));
-    }
-    return fd;
-}
-
-} // namespace
-
-ShardPartialWriter::ShardPartialWriter(const std::string &jsonl_path,
-                                       const std::string &csvf_path,
-                                       std::size_t jsonl_keep_bytes,
-                                       std::size_t csvf_keep_bytes)
-    : jsonlPath_(jsonl_path), csvfPath_(csvf_path)
-{
-    jsonlFd_ = openPartialAppend(jsonlPath_, jsonl_keep_bytes);
-    if (!csvfPath_.empty()) {
-        try {
-            csvfFd_ = openPartialAppend(csvfPath_, csvf_keep_bytes);
-        } catch (...) {
-            ::close(jsonlFd_);
-            throw;
-        }
-    }
-}
-
-ShardPartialWriter::~ShardPartialWriter()
-{
-    // Crash semantics: close only — the partial files survive so a
-    // repair pass can re-ingest every persisted run.
-    if (jsonlFd_ >= 0)
-        ::close(jsonlFd_);
-    if (csvfFd_ >= 0)
-        ::close(csvfFd_);
-}
-
-void
-ShardPartialWriter::writeAll(int fd, const std::string &bytes,
-                             const std::string &path)
-{
-    const char *data = bytes.data();
-    std::size_t left = bytes.size();
-    while (left > 0) {
-        const ssize_t n = ::write(fd, data, left);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throw std::runtime_error("partial: write failed on " + path +
-                                     ": " + std::strerror(errno));
-        }
-        data += n;
-        left -= static_cast<std::size_t>(n);
-    }
-}
-
-void
-ShardPartialWriter::append(std::size_t config,
-                           const std::string &result_line,
-                           const std::string &csv_block)
-{
-    // Derive the checksummed partial rendering from the final-format
-    // line: strip the closing "}\n", append the crc of the payload.
-    // The repair pass inverts this exactly, so a re-ingested line is
-    // byte-identical to what an uninterrupted run would have written.
-    if (result_line.size() < 2 ||
-        result_line.compare(result_line.size() - 2, 2, "}\n") != 0)
-        throw std::logic_error("partial: result line not in final "
-                               "format");
-    const std::string_view payload(result_line.data(),
-                                   result_line.size() - 2);
-    std::string jsonlRecord(payload);
-    jsonlRecord += kCrcKey;
-    jsonlRecord += std::to_string(fsio::fnv1a64(payload));
-    jsonlRecord += "}\n";
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    // CSV frame first: a validated result line then implies its block
-    // is on disk, so "line present" alone decides run durability.
-    if (csvfFd_ >= 0) {
-        std::string frame = kFrameMagic;
-        frame += std::to_string(config);
-        frame += ' ';
-        frame += std::to_string(csv_block.size());
-        frame += ' ';
-        frame += std::to_string(fsio::fnv1a64(csv_block));
-        frame += '\n';
-        frame += csv_block;
-        writeAll(csvfFd_, frame, csvfPath_);
-    }
-    writeAll(jsonlFd_, jsonlRecord, jsonlPath_);
-}
-
-void
-ShardPartialWriter::closeAndRemove()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (jsonlFd_ >= 0) {
-        ::close(jsonlFd_);
-        jsonlFd_ = -1;
-        ::unlink(jsonlPath_.c_str());  // ENOENT fine: peer cleaned up
-    }
-    if (csvfFd_ >= 0) {
-        ::close(csvfFd_);
-        csvfFd_ = -1;
-        ::unlink(csvfPath_.c_str());
-    }
-}
-
-namespace {
-
-/** Parse the leading `{"config":<n>` of a result-line payload. */
-bool
-parseConfigIndex(std::string_view payload, std::size_t &out)
-{
-    constexpr std::string_view prefix = "{\"config\":";
-    if (payload.substr(0, prefix.size()) != prefix)
-        return false;
-    const char *begin = payload.data() + prefix.size();
-    const auto res =
-        std::from_chars(begin, payload.data() + payload.size(), out);
-    return res.ec == std::errc{} && res.ptr != begin;
-}
-
-} // namespace
-
-PartialReadResult
-readPartialResultLines(const std::string &path)
-{
-    PartialReadResult result;
-    const std::string text = fsio::readFileIfExists(path);
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            break;  // no newline: torn trailing line
-        const std::string_view line(text.data() + pos, eol - pos);
-        // The crc key cannot appear inside the line's JSON strings
-        // (their quotes are escaped), so the last occurrence is the
-        // authoritative field even in adversarial hyperparam strings.
-        const std::size_t crcPos = line.rfind(kCrcKey);
-        if (crcPos == std::string_view::npos)
-            break;
-        const std::string_view payload = line.substr(0, crcPos);
-        const char *numBegin =
-            line.data() + crcPos + std::strlen(kCrcKey);
-        std::uint64_t crc = 0;
-        const auto res =
-            std::from_chars(numBegin, line.data() + line.size(), crc);
-        // The line must end exactly "...,"crc":<n>}" and the checksum
-        // must match the payload; anything else is a torn or corrupt
-        // record and invalidates the rest of the file.
-        if (res.ec != std::errc{} ||
-            res.ptr != line.data() + line.size() - 1 ||
-            line.back() != '}' || fsio::fnv1a64(payload) != crc)
-            break;
-        PartialRunRecord rec;
-        if (!parseConfigIndex(payload, rec.config))
-            break;
-        rec.resultLine.assign(payload);
-        rec.resultLine += "}\n";
-        result.records.push_back(std::move(rec));
-        pos = eol + 1;
-    }
-    result.validBytes = pos;
-    result.truncatedTail = pos < text.size();
-    return result;
-}
-
-PartialCsvReadResult
-readPartialCsvFrames(const std::string &path)
-{
-    PartialCsvReadResult result;
-    const std::string text = fsio::readFileIfExists(path);
-    const std::size_t magicLen = std::strlen(kFrameMagic);
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos ||
-            text.compare(pos, magicLen, kFrameMagic) != 0)
-            break;
-        // Header: "#@run <config> <bytes> <crc>".
-        std::size_t config = 0, bytes = 0;
-        std::uint64_t crc = 0;
-        const char *cursor = text.data() + pos + magicLen;
-        const char *end = text.data() + eol;
-        auto res = std::from_chars(cursor, end, config);
-        if (res.ec != std::errc{} || res.ptr >= end || *res.ptr != ' ')
-            break;
-        res = std::from_chars(res.ptr + 1, end, bytes);
-        if (res.ec != std::errc{} || res.ptr >= end || *res.ptr != ' ')
-            break;
-        res = std::from_chars(res.ptr + 1, end, crc);
-        if (res.ec != std::errc{} || res.ptr != end)
-            break;
-        const std::size_t blockStart = eol + 1;
-        if (blockStart + bytes > text.size())
-            break;  // torn mid-block
-        const std::string_view block(text.data() + blockStart, bytes);
-        if (fsio::fnv1a64(block) != crc)
-            break;
-        result.records.push_back(
-            PartialCsvRecord{config, std::string(block)});
-        pos = blockStart + bytes;
-    }
-    result.validBytes = pos;
-    result.truncatedTail = pos < text.size();
-    return result;
 }
 
 } // namespace archgym

@@ -219,35 +219,20 @@ runSweepProxyScreened(const EnvFactory &env_factory,
                                   base_seed, screenSamples, configsHash);
         result.screenReused = true;
     } else {
-        // 2. Train the proxy on the pilot trajectories, through the
-        // columnar serving path (or the reference CSV reader — same
-        // rows by the equivalence contract).
+        // 2. Train the proxy on the pilot trajectories, served through
+        // the columnar conversion of the pilot exports.
+        const std::string stem =
+            (fs::path(options.directory) / "pilot_columnar").string();
+        if (!fs::exists(ColumnarDatasetWriter::indexPath(stem)))
+            writeColumnarFromCsvDirectory(pilotOpts.directory, stem, space,
+                                          metricNames);
+        const auto reader = ColumnarDatasetReader::open(stem);
         std::vector<Transition> trainRows;
-        if (options.columnar) {
-            const std::string stem =
-                (fs::path(options.directory) / "pilot_columnar").string();
-            if (!fs::exists(ColumnarDatasetWriter::indexPath(stem)))
-                writeColumnarFromCsvDirectory(pilotOpts.directory, stem,
-                                              space, metricNames);
-            const auto reader = ColumnarDatasetReader::open(stem);
-            if (options.trainRows != 0 &&
-                options.trainRows < reader.rowCount()) {
-                Rng trainRng(options.forest.seed);
-                trainRows =
-                    reader.sampleTransitions(options.trainRows, trainRng);
-            } else {
-                trainRows = reader.loadAllTransitions();
-            }
+        if (options.trainRows != 0 && options.trainRows < reader.rowCount()) {
+            Rng trainRng(options.forest.seed);
+            trainRows = reader.sampleTransitions(options.trainRows, trainRng);
         } else {
-            const Dataset pilotData =
-                Dataset::loadDirectory(pilotOpts.directory);
-            if (options.trainRows != 0 &&
-                options.trainRows < pilotData.transitionCount()) {
-                Rng trainRng(options.forest.seed);
-                trainRows = pilotData.sample(options.trainRows, trainRng);
-            } else {
-                trainRows = pilotData.flatten();
-            }
+            trainRows = reader.loadAllTransitions();
         }
         if (trainRows.empty())
             throw std::runtime_error(

@@ -109,14 +109,6 @@ struct ProxyScreenOptions
      *  sampling, so training data is deterministic). */
     ForestConfig forest;
 
-    /**
-     * Train from the columnar conversion of the pilot exports (the
-     * serving path). false falls back to the reference CSV reader —
-     * identical training rows either way, per the columnar
-     * equivalence contract.
-     */
-    bool columnar = true;
-
     /** Passed through to the pilot/frontier sharded sweeps. */
     std::size_t shardSize = 16;
     /** Worker slots of the pilot/frontier sweeps and of screening

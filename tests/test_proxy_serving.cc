@@ -31,10 +31,14 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/agent.h"
 #include "core/columnar.h"
 #include "core/driver.h"
+#include "core/lease.h"
 #include "core/objective.h"
+#include "core/shard_store.h"
 #include "core/toy_envs.h"
 #include "core/trajectory.h"
 #include "core/worker_pool.h"
@@ -49,10 +53,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/** Per-process temp dir: concurrent copies of the suite must not
+ *  wipe each other's files. */
 std::string
 tempDir(const std::string &name)
 {
-    const fs::path dir = fs::path(::testing::TempDir()) / name;
+    const fs::path dir = fs::path(::testing::TempDir()) /
+                         (name + "_" + std::to_string(::getpid()));
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir.string();
@@ -96,11 +103,9 @@ std::string
 writeCsvPool(const std::string &dir, const ParamSpace &space,
              const std::vector<TrajectoryLog> &logs)
 {
-    StreamingDatasetWriter writer((fs::path(dir) / "pool.csv").string(),
-                                  space, kMetrics, 0, logs.size());
-    for (std::size_t i = 0; i < logs.size(); ++i)
-        writer.append(i, logs[i]);
-    writer.close();
+    std::ofstream out(fs::path(dir) / "pool.csv");
+    for (const auto &log : logs)
+        log.writeCsv(out, space, kMetrics);
     return dir;
 }
 
@@ -821,28 +826,145 @@ TEST(ProxyScreen, MismatchedScreenRecordThrows)
                  std::runtime_error);
 }
 
-TEST(ProxyScreen, ColumnarAndCsvTrainingProduceTheSameRanking)
+// --------------------------------------------------------------------
+// Every on-disk record round-trips arbitrary strings
+// --------------------------------------------------------------------
+
+/** QuadraticEnv under an arbitrary name (for the sweep manifest). */
+class RenamedQuadraticEnv : public QuadraticEnv
 {
+  public:
+    explicit RenamedQuadraticEnv(std::string name)
+        : QuadraticEnv({3.0, 8.0}), name_(std::move(name))
+    {}
+    const std::string &name() const override { return name_; }
+
+  private:
+    std::string name_;
+};
+
+TEST(RecordRoundTrip, EveryRendererRoundTripsArbitraryStrings)
+{
+    std::string allBytes;
+    for (int c = 1; c < 256; ++c)
+        allBytes.push_back(static_cast<char>(c));
+    const std::vector<std::string> table = {
+        "a}b", "}", "\"quoted\" {\"k\":1}", "line one\nline two",
+        "#@run 0 5 123\n#@run ", "back\\slash\\", allBytes};
+
     ScreenFixture fx;
-    auto colOpts = fx.options(tempDir("screen_columnar"));
-    colOpts.columnar = true;
-    const auto viaColumnar = runSweepProxyScreened(
-        fx.factory, "Scripted", fx.builder, fx.configs, fx.runCfg,
-        colOpts, 21);
+    for (std::size_t row = 0; row < table.size(); ++row) {
+        const std::string &s = table[row];
+        SCOPED_TRACE("table row " + std::to_string(row));
+        const std::string dir = tempDir("roundtrip_" + std::to_string(row));
 
-    auto csvOpts = fx.options(tempDir("screen_csv"));
-    csvOpts.columnar = false;
-    const auto viaCsv = runSweepProxyScreened(
-        fx.factory, "Scripted", fx.builder, fx.configs, fx.runCfg,
-        csvOpts, 21);
+        // Result, gap and attempt records through the shard store: a
+        // reopened store's scans and the finals give them back.
+        {
+            const std::uint64_t base = 5;
+            ResultRecord run;
+            run.config = 0;
+            run.seed = sweepConfigSeed(base, 0);
+            run.bestReward = 1.5;
+            run.samplesUsed = 3;
+            run.bestAction = {0.25, -2.0};
+            run.hyper = s;
+            ResultRecord gap;
+            gap.config = 1;
+            gap.seed = sweepConfigSeed(base, 1);
+            gap.hyper = s;
+            gap.quarantined = true;
+            gap.attempts = 2;
+            gap.failureClass = s;
+            gap.error = s;
+            const AttemptRecord attempt{1, gap.seed, 2, s, s, s};
+            {
+                ShardStore store(dir, 0, 0, 2, base, true);
+                EXPECT_TRUE(store.repair().empty());
+                store.appendRun(gap, s + "\n");
+                store.appendRun(run, s);
+                store.appendAttempt(attempt);
+            }
+            ShardStore store(dir, 0, 0, 2, base, true);
+            EXPECT_EQ(store.repair(), (std::vector<std::size_t>{1, 0}));
+            EXPECT_EQ(store.readLedger(),
+                      (std::vector<AttemptRecord>{attempt}));
+            store.finalise();
+            EXPECT_EQ(store.readFinals(),
+                      (std::vector<ResultRecord>{run, gap}));
+            std::ifstream csv(fs::path(dir) / "shard_0000.csv",
+                              std::ios::binary);
+            const std::string csvBytes(
+                (std::istreambuf_iterator<char>(csv)),
+                std::istreambuf_iterator<char>());
+            EXPECT_EQ(csvBytes, s + s + "\n");
+        }
 
-    // The columnar reader feeds the forest the same rows in the same
-    // order as the reference reader, so training — and therefore the
-    // whole screen — is bit-identical.
-    EXPECT_EQ(viaColumnar.ranking, viaCsv.ranking);
-    EXPECT_EQ(viaColumnar.screenRewards, viaCsv.screenRewards);
-    EXPECT_EQ(viaColumnar.frontier, viaCsv.frontier);
-    EXPECT_EQ(viaColumnar.trainRowCount, viaCsv.trainRowCount);
+        // Manifest: a resume reads env and agent back and must match.
+        {
+            const EnvFactory factory = [&s] {
+                return std::unique_ptr<Environment>(
+                    std::make_unique<RenamedQuadraticEnv>(s));
+            };
+            ShardedSweepOptions opts;
+            opts.directory = (fs::path(dir) / "sweep").string();
+            opts.shardSize = 2;
+            opts.numThreads = 1;
+            const auto first = runSweepSharded(factory, s, fx.builder,
+                                               fx.configs, fx.runCfg, opts);
+            const auto again = runSweepSharded(factory, s, fx.builder,
+                                               fx.configs, fx.runCfg, opts);
+            EXPECT_EQ(again.shardsSkipped, again.shardCount);
+            EXPECT_EQ(again.bestRewards, first.bestRewards);
+        }
+
+        // .colidx: metric names and every group's env/agent/hyper.
+        {
+            ParamSpace space;
+            space.add(ParamDesc::integer("x", 0, 9));
+            TrajectoryLog log(s, s, s);
+            log.append(Transition{{1.0}, {2.0}, 3.0});
+            const std::string stem = (fs::path(dir) / "col").string();
+            {
+                ColumnarDatasetWriter writer(stem, space, {s}, 1);
+                writer.append(log);
+                writer.append(log);
+                writer.close();
+            }
+            const auto reader = ColumnarDatasetReader::open(stem);
+            EXPECT_EQ(reader.metricNames(), std::vector<std::string>{s});
+            ASSERT_EQ(reader.groupCount(), 2u);
+            for (std::size_t g = 0; g < 2; ++g) {
+                EXPECT_EQ(reader.group(g).envName, s);
+                EXPECT_EQ(reader.group(g).agentName, s);
+                EXPECT_EQ(reader.group(g).hyperParams, s);
+            }
+        }
+
+        // screen.json: a resume reads the agent back and reuses the
+        // recorded screen.
+        {
+            const auto opts = fx.options((fs::path(dir) / "screen").string());
+            const auto first = runSweepProxyScreened(
+                fx.factory, s, fx.builder, fx.configs, fx.runCfg, opts, 21);
+            const auto again = runSweepProxyScreened(
+                fx.factory, s, fx.builder, fx.configs, fx.runCfg, opts, 21);
+            EXPECT_TRUE(again.screenReused);
+            EXPECT_EQ(again.ranking, first.ranking);
+        }
+
+        // Lease file: the owner id reads back.
+        {
+            LeaseOptions lopts;
+            lopts.workerId = s;
+            auto lease = ShardLease::tryAcquire(dir, 7, lopts);
+            ASSERT_TRUE(lease);
+            LeaseRecord rec;
+            ASSERT_TRUE(readLeaseRecord(lease->path(), rec));
+            EXPECT_EQ(rec.workerId, s);
+            lease->release();
+        }
+    }
 }
 
 } // namespace

@@ -3,11 +3,12 @@
  * Tests for the sharded, resumable sweep engine (runSweepSharded) and
  * the streaming dataset export path: interruption/resume bit-identity
  * at several worker counts, manifest validation, shard re-ingestion,
- * and the ordered StreamingDatasetWriter.
+ * and the config-ordered finals of the shard store.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,9 +16,12 @@
 
 #include "core/agent.h"
 #include "core/driver.h"
+#include "core/shard_store.h"
 #include "core/toy_envs.h"
 #include "core/trajectory.h"
 #include "envs/farsi_gym_env.h"
+
+#include <unistd.h>
 
 namespace archgym {
 namespace {
@@ -70,10 +74,13 @@ quadraticFactory()
     };
 }
 
+/** Per-process temp dir: concurrent copies of the suite must not
+ *  wipe each other's sweeps. */
 std::string
 tempDir(const std::string &name)
 {
-    const fs::path dir = fs::path(::testing::TempDir()) / name;
+    const fs::path dir = fs::path(::testing::TempDir()) /
+                         (name + "_" + std::to_string(::getpid()));
     fs::remove_all(dir);
     return dir.string();
 }
@@ -232,7 +239,8 @@ TEST(ShardedSweep, FullResumeRunsNothing)
     opts.directory = tempDir("full_resume");
     opts.shardSize = 3;
 
-    std::size_t factoryCalls = 0;
+    // Pool threads build their environments concurrently.
+    std::atomic<std::size_t> factoryCalls{0};
     const EnvFactory countingFactory = [&factoryCalls] {
         ++factoryCalls;
         return std::unique_ptr<Environment>(std::make_unique<QuadraticEnv>(
@@ -587,71 +595,109 @@ TEST(ShardedSweep, WorksOnSimulatorBackedEnvironment)
 }
 
 // --------------------------------------------------------------------
-// StreamingDatasetWriter
+// ShardStore finals
 // --------------------------------------------------------------------
 
-ParamSpace
-writerSpace()
+/** Run record of `config` whose CSV block is tagged with its index. */
+void
+appendTagged(ShardStore &store, std::size_t config)
 {
-    ParamSpace space;
-    space.add(ParamDesc::integer("x", 0, 9));
-    return space;
+    ResultRecord r;
+    r.config = config;
+    r.seed = sweepConfigSeed(9, config);
+    r.bestReward = static_cast<double>(config);
+    store.appendRun(r, "block " + std::to_string(config) + "\n");
 }
 
-TrajectoryLog
-logWithTag(double tag)
+TEST(ShardStore, OutOfOrderAppendsLandInConfigOrder)
 {
-    TrajectoryLog log("Env" + std::to_string(static_cast<int>(tag)),
-                      "A", "");
-    log.append(Transition{{tag}, {tag * 2.0}, tag * 0.1});
-    return log;
+    const std::string dir = tempDir("store_ooo");
+    fs::create_directories(dir);
+    ShardStore store(dir, 0, 0, 3, 9, true);
+    store.repair();
+    appendTagged(store, 2);
+    appendTagged(store, 0);
+    appendTagged(store, 1);
+    store.finalise();
+
+    EXPECT_EQ(fileBytes(fs::path(dir) / "shard_0000.csv"),
+              "block 0\nblock 1\nblock 2\n");
+    const auto finals = store.readFinals();
+    ASSERT_EQ(finals.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(finals[i].bestReward, static_cast<double>(i));
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.partial.log"));
 }
 
-TEST(StreamingDatasetWriter, OutOfOrderAppendsLandInIndexOrder)
+TEST(ShardStore, FinaliseWithMissingConfigThrows)
 {
-    const auto space = writerSpace();
-    const std::string path =
-        (fs::path(::testing::TempDir()) / "stream_ooo.csv").string();
-    StreamingDatasetWriter writer(path, space, {"m"}, 0, 3);
-    writer.append(2, logWithTag(2));
-    EXPECT_EQ(writer.written(), 0u);  // waiting for index 0
-    writer.append(0, logWithTag(0));
-    EXPECT_EQ(writer.written(), 1u);  // 0 flushed, 1 still missing
-    writer.append(1, logWithTag(1));
-    EXPECT_EQ(writer.written(), 3u);  // 1 unblocked 2 as well
-    writer.close();
-
-    std::ifstream in(path);
-    const auto logs = TrajectoryLog::readCsvAll(in);
-    ASSERT_EQ(logs.size(), 3u);
-    EXPECT_EQ(logs[0].envName(), "Env0");
-    EXPECT_EQ(logs[1].envName(), "Env1");
-    EXPECT_EQ(logs[2].envName(), "Env2");
-    EXPECT_EQ(logs[2][0].action, (Action{2.0}));
+    const std::string dir = tempDir("store_gap");
+    fs::create_directories(dir);
+    ShardStore store(dir, 0, 0, 2, 9, true);
+    store.repair();
+    appendTagged(store, 1);
+    EXPECT_THROW(store.finalise(), std::runtime_error);
+    EXPECT_FALSE(store.finalsExist());
 }
 
-TEST(StreamingDatasetWriter, CloseWithMissingIndexThrows)
+TEST(ShardStore, RejectsDuplicateAndOutOfRangeConfigs)
 {
-    const auto space = writerSpace();
-    const std::string path =
-        (fs::path(::testing::TempDir()) / "stream_gap.csv").string();
-    StreamingDatasetWriter writer(path, space, {"m"}, 0, 2);
-    writer.append(1, logWithTag(1));
-    EXPECT_THROW(writer.close(), std::runtime_error);
+    const std::string dir = tempDir("store_dup");
+    fs::create_directories(dir);
+    ShardStore store(dir, 1, 4, 6, 9, true);
+    store.repair();
+    appendTagged(store, 4);
+    EXPECT_THROW(appendTagged(store, 4), std::runtime_error);
+    EXPECT_THROW(appendTagged(store, 6), std::runtime_error);
+    EXPECT_THROW(appendTagged(store, 3), std::runtime_error);
+    appendTagged(store, 5);
+    store.finalise();
+    EXPECT_TRUE(store.finalsExist());
 }
 
-TEST(StreamingDatasetWriter, RejectsDuplicateAndOutOfRangeIndices)
+TEST(ShardStore, RepairKeepsTheFirstRecordOfEachConfig)
 {
-    const auto space = writerSpace();
-    const std::string path =
-        (fs::path(::testing::TempDir()) / "stream_dup.csv").string();
-    StreamingDatasetWriter writer(path, space, {"m"}, 4, 2);
-    writer.append(4, logWithTag(4));
-    EXPECT_THROW(writer.append(4, logWithTag(4)), std::runtime_error);
-    EXPECT_THROW(writer.append(6, logWithTag(6)), std::runtime_error);
-    EXPECT_THROW(writer.append(3, logWithTag(3)), std::runtime_error);
-    writer.append(5, logWithTag(5));
-    writer.close();
+    // A fenced stale owner and its thief append to one log through two
+    // stores; the first record of a config wins on repair.
+    const std::string dir = tempDir("store_first");
+    fs::create_directories(dir);
+    ShardStore stale(dir, 0, 0, 2, 9, true);
+    ShardStore thief(dir, 0, 0, 2, 9, true);
+    stale.repair();
+    thief.repair();
+    appendTagged(stale, 1);
+    ResultRecord late;
+    late.config = 1;
+    late.seed = sweepConfigSeed(9, 1);
+    late.bestReward = 42.0;
+    thief.appendRun(late, "late\n");
+
+    ShardStore next(dir, 0, 0, 2, 9, true);
+    EXPECT_EQ(next.repair(), std::vector<std::size_t>{1});
+    appendTagged(next, 0);
+    next.finalise();
+    EXPECT_EQ(fileBytes(fs::path(dir) / "shard_0000.csv"),
+              "block 0\nblock 1\n");
+    EXPECT_EQ(next.readFinals()[1].bestReward, 1.0);
+}
+
+TEST(ShardStore, FinaliseThrowsWhenARecordChangedUnderIt)
+{
+    const std::string dir = tempDir("store_rewritten");
+    fs::create_directories(dir);
+    ShardStore store(dir, 0, 0, 2, 9, true);
+    store.repair();
+    appendTagged(store, 0);
+    appendTagged(store, 1);
+    {
+        // Another owner rewrites the log's last byte.
+        std::fstream log(fs::path(dir) / "shard_0000.partial.log",
+                         std::ios::in | std::ios::out | std::ios::binary);
+        log.seekp(-1, std::ios::end);
+        log.put('X');
+    }
+    EXPECT_THROW(store.finalise(), std::runtime_error);
+    EXPECT_FALSE(store.finalsExist());
 }
 
 } // namespace

@@ -23,6 +23,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/agent.h"
 #include "core/driver.h"
 #include "core/fault_hooks.h"
@@ -90,10 +92,13 @@ quadraticFactory()
     };
 }
 
+/** Per-process temp dir: concurrent copies of the suite must not
+ *  wipe each other's sweeps. */
 std::string
 tempDir(const std::string &name)
 {
-    const fs::path dir = fs::path(::testing::TempDir()) / name;
+    const fs::path dir = fs::path(::testing::TempDir()) /
+                         (name + "_" + std::to_string(::getpid()));
     fs::remove_all(dir);
     return dir.string();
 }
@@ -128,7 +133,7 @@ shardBytes(const std::string &dir, const std::string &extension)
 
 /**
  * Like shardBytes, but only the *final* artifacts: quarantine ledgers
- * (shard_NNNN.quarantine.jsonl) are deliberately excluded — they are
+ * (shard_NNNN.quarantine.log) are deliberately excluded — they are
  * durable post-mortem records that carry worker ids and attempt
  * schedules, so their bytes legitimately differ across worker counts
  * while the finals must not.
@@ -274,8 +279,7 @@ TEST(SweepService, KilledWorkerShardIsStolenAndRepairedRunGranular)
     // SIGKILL aftermath: the lease survives (stale once the TTL
     // passes) and the two persisted runs sit in the partial files.
     EXPECT_TRUE(fs::exists(fs::path(dir) / "shard_0000.lease"));
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "shard_0000.partial.jsonl"));
-    EXPECT_TRUE(fs::exists(fs::path(dir) / "shard_0000.partial.csvf"));
+    EXPECT_TRUE(fs::exists(fs::path(dir) / "shard_0000.partial.log"));
     EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.jsonl"));
 
     InjectedClock::advanceMs(2000);  // let the victim's lease go stale
@@ -291,7 +295,7 @@ TEST(SweepService, KilledWorkerShardIsStolenAndRepairedRunGranular)
     EXPECT_EQ(shardBytes(dir, ".csv"), shardBytes(refDir, ".csv"));
     // The repair consumed the dead worker's leftovers.
     EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.lease"));
-    EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.partial.jsonl"));
+    EXPECT_FALSE(fs::exists(fs::path(dir) / "shard_0000.partial.log"));
 }
 
 TEST(SweepService, TruncatedPartialTailDiscardsOnlyTheTornRun)
@@ -315,7 +319,7 @@ TEST(SweepService, TruncatedPartialTailDiscardsOnlyTheTornRun)
     // non-atomic page flush would: its checksum no longer matches, so
     // only the first run stays durable.
     testing::truncateTail(
-        (fs::path(dir) / "shard_0000.partial.jsonl").string(), 3);
+        (fs::path(dir) / "shard_0000.partial.log").string(), 3);
 
     InjectedClock::advanceMs(2000);
     auto peer = fx.options(dir, "peer");
@@ -345,7 +349,7 @@ TEST(SweepService, GarbageAfterValidPartialRecordsIsDiscarded)
         EXPECT_THROW(fx.run(opts), WorkerKilled);
     }
     testing::appendGarbage(
-        (fs::path(dir) / "shard_0000.partial.jsonl").string());
+        (fs::path(dir) / "shard_0000.partial.log").string());
 
     InjectedClock::advanceMs(2000);
     auto peer = fx.options(dir, "peer");
@@ -576,7 +580,7 @@ TEST(SweepService, TransientFailureIsRetriedAndMatchesFaultFreeRun)
               finalShardBytes(refDir, ".csv"));
     // ... but the ledger holds the durable attempt for the post-mortem.
     EXPECT_TRUE(
-        fs::exists(fs::path(dir) / "shard_0001.quarantine.jsonl"));
+        fs::exists(fs::path(dir) / "shard_0001.quarantine.log"));
 }
 
 TEST(SweepService, ExhaustedAttemptsFailTheSweepUnlessQuarantined)
@@ -805,7 +809,7 @@ TEST(SweepService, QuarantineAttemptBudgetSurvivesKillAndResume)
     }
     EXPECT_EQ(poison.attempts(1), 1u);
     EXPECT_TRUE(
-        fs::exists(fs::path(dir) / "shard_0000.quarantine.jsonl"));
+        fs::exists(fs::path(dir) / "shard_0000.quarantine.log"));
 
     InjectedClock::advanceMs(2000);
     auto medic = fx.options(dir, "medic");
