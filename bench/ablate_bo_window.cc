@@ -9,9 +9,9 @@
  *
  *  - incremental: the steady-state O(n^2) path (rank-1 Cholesky
  *    append/downdate, batched candidate scoring);
- *  - full refit:  the seed O(n^3) path (`reference_impl`), which
- *    refactorizes on every history change and scores candidates with
- *    scalar predicts.
+ *  - full refit:  the seed O(n^3) path (oracle::SeedBayesianOptAgent),
+ *    which refactorizes on every history change and scores candidates
+ *    with scalar predicts.
  *
  * Quality saturates while the full-refit cost keeps growing with the
  * window; the incremental column shows the asymptotic win that makes
@@ -29,6 +29,7 @@
 
 #include "bench_util.h"
 #include "envs/dram_gym_env.h"
+#include "oracles/oracles.h"
 
 using namespace archgym;
 using namespace archgym::bench;
@@ -44,9 +45,11 @@ runWindow(DramGymEnv &env, std::int64_t window, bool reference,
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         HyperParams hp;
         hp.set("max_history", static_cast<double>(window))
-            .set("num_candidates", 64)
-            .set("reference_impl", reference ? 1 : 0);
-        auto agent = makeAgent("BO", env.actionSpace(), hp, seed);
+            .set("num_candidates", 64);
+        std::unique_ptr<Agent> agent =
+            reference ? std::make_unique<oracle::SeedBayesianOptAgent>(
+                            env.actionSpace(), hp, seed)
+                      : makeAgent("BO", env.actionSpace(), hp, seed);
         RunConfig cfg;
         cfg.maxSamples = 400;
         const auto t0 = std::chrono::steady_clock::now();

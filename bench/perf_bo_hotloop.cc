@@ -11,10 +11,10 @@
  *    The optimized path absorbs each sample with a rank-1 Cholesky
  *    bordering update plus rank-1 downdates for the eviction plan and
  *    scores candidates through one blocked multi-RHS solve; the seed
- *    path (`reference_impl`) refactorizes the kernel matrix in O(n^3)
- *    on every trim and runs per-candidate scalar predicts. Both agents
- *    are pre-filled through observe() only (no GP work), so the timed
- *    region isolates exactly the per-sample surrogate cost.
+ *    path (oracle::SeedBayesianOptAgent) refactorizes the kernel matrix
+ *    in O(n^3) on every trim and runs per-candidate scalar predicts.
+ *    Both agents are pre-filled through observe() only (no GP work), so
+ *    the timed region isolates exactly the per-sample surrogate cost.
  *
  *  - predict: queries/sec of GaussianProcess::predictBatch vs a loop
  *    of scalar predict() calls on a fitted 600-point GP, 256 queries
@@ -55,6 +55,7 @@
 #include "core/driver.h"
 #include "core/toy_envs.h"
 #include "envs/farsi_gym_env.h"
+#include "oracles/oracles.h"
 
 using namespace archgym;
 
@@ -95,16 +96,15 @@ callsPerSecond(Fn &&fn, std::size_t batch = 1)
  * (the callsPerSecond warmup call absorbs the initial full fit, which
  * both paths share).
  */
+template <typename BoAgent>
 double
-steadyStateSamplesPerSec(std::size_t window, bool reference,
-                         double &guard)
+steadyStateSamplesPerSec(std::size_t window, double &guard)
 {
     QuadraticEnv env({7.0, 13.0, 21.0, 4.0});
     HyperParams hp;
     hp.set("max_history", static_cast<std::int64_t>(window))
-        .set("num_candidates", 256)
-        .set("reference_impl", reference ? 1 : 0);
-    BayesianOptAgent agent(env.actionSpace(), hp, 97);
+        .set("num_candidates", 256);
+    BoAgent agent(env.actionSpace(), hp, 97);
 
     // Fill the window past the first trim so every timed observe
     // evicts: observe() alone never fits, so this is cheap even for
@@ -187,9 +187,10 @@ main()
         WindowResult r;
         r.window = window;
         r.samplesPerSec =
-            steadyStateSamplesPerSec(window, /*reference=*/false, guard);
+            steadyStateSamplesPerSec<BayesianOptAgent>(window, guard);
         r.refitSamplesPerSec =
-            steadyStateSamplesPerSec(window, /*reference=*/true, guard);
+            steadyStateSamplesPerSec<oracle::SeedBayesianOptAgent>(window,
+                                                                   guard);
         std::printf("%-8zu %14.1f %14.1f %8.2fx\n", window,
                     r.samplesPerSec, r.refitSamplesPerSec, r.speedup());
         windows.push_back(r);
@@ -266,9 +267,10 @@ main()
         guard += kbOut[0];
     });
     const double naiveBuildsPerSec = callsPerSecond([&] {
-        crossSquaredDistancesNaive(kbA.data(), kbAn.data(), kGpPoints,
-                                   kbB.data(), kbBn.data(), kQueries,
-                                   kDim, kbOut.data());
+        oracle::crossSquaredDistancesNaive(kbA.data(), kbAn.data(),
+                                           kGpPoints, kbB.data(),
+                                           kbBn.data(), kQueries, kDim,
+                                           kbOut.data());
         guard += kbOut[0];
     });
     std::printf("\nCross-distance kernel build, %zu x %zu dim %zu "

@@ -20,8 +20,8 @@
 
 #include "dramsys/controller.h"
 #include "dramsys/decoded_trace.h"
-#include "dramsys/reference_controller.h"
 #include "dramsys/trace_gen.h"
+#include "oracles/oracles.h"
 
 using namespace archgym::dram;
 
@@ -133,7 +133,7 @@ main()
         // trace copy and re-decode — the seed's per-sample cost.
         std::uint64_t guardRef = 0;
         const double refSteps = stepsPerSecond([&] {
-            ReferenceDramController ref(spec, p.cfg);
+            archgym::oracle::ReferenceDramController ref(spec, p.cfg);
             guardRef += ref.run(trace).totalCycles;
         });
 

@@ -40,13 +40,13 @@
 
 #include "agents/registry.h"
 #include "core/driver.h"
-#include "dramsys/reference_controller.h"
 #include "envs/dram_gym_env.h"
 #include "envs/farsi_gym_env.h"
 #include "envs/maestro_gym_env.h"
 #include "envs/timeloop_gym_env.h"
 #include "farsi/scheduler.h"
 #include "maestro/cost_model.h"
+#include "oracles/oracles.h"
 #include "timeloop/cost_model.h"
 
 using namespace archgym;
@@ -182,7 +182,7 @@ main()
         r.baselineStepsPerSec = stepsPerSecond([&] {
             const dram::ControllerConfig cfg =
                 env.decodeAction(actions[i++ % kNumActions]);
-            dram::ReferenceDramController ref(env.options().spec, cfg);
+            oracle::ReferenceDramController ref(env.options().spec, cfg);
             const dram::SimResult sim = ref.run(env.trace());
             guard += env.objective().reward(
                 {sim.avgLatencyNs, sim.power.avgPowerW,
@@ -201,12 +201,12 @@ main()
         r.stepsPerSec = stepsPerSecond([&] {
             guard += env.step(actions[i++ % kNumActions]).reward;
         });
-        // Per-step rebuild: evaluateSoc over the raw graph re-derives
-        // the dependency structure and allocates every buffer.
+        // Per-step rebuild: the seed's evaluateSoc over the raw graph
+        // re-derives the dependency structure and allocates every buffer.
         const farsi::TaskGraph graph = farsi::edgeDetection();
         i = 0;
         r.baselineStepsPerSec = stepsPerSecond([&] {
-            const farsi::SocResult sim = farsi::evaluateSoc(
+            const farsi::SocResult sim = oracle::evaluateSoc(
                 env.decodeAction(actions[i++ % kNumActions]), graph);
             guard += env.objective().reward(
                 {sim.powerW, sim.latencyMs, sim.areaMm2});
@@ -229,7 +229,7 @@ main()
         const timeloop::Network net = timeloop::resNet18();
         i = 0;
         r.baselineStepsPerSec = stepsPerSecond([&] {
-            const timeloop::LayerCost cost = timeloop::evaluateNetwork(
+            const timeloop::LayerCost cost = oracle::evaluateNetwork(
                 env.decodeAction(actions[i++ % kNumActions]), net);
             guard += env.objective().reward(
                 {cost.latencyMs, cost.energyUj, cost.areaMm2});
@@ -251,7 +251,7 @@ main()
         i = 0;
         r.baselineStepsPerSec = stepsPerSecond([&] {
             const maestro::MappingCost cost =
-                maestro::evaluateMappingOnNetwork(
+                oracle::evaluateMappingOnNetwork(
                     env.decodeAction(actions[i++ % kNumActions]), net);
             guard += cost.runtimeCycles;
         });

@@ -50,7 +50,8 @@ main()
     // other networks?
     for (const auto &net :
          {timeloop::alexNet(), timeloop::mobileNet()}) {
-        const auto cost = timeloop::evaluateNetwork(design, net);
+        const auto cost =
+            timeloop::evaluateNetwork(design, timeloop::NetworkView(net));
         std::printf("  on %-10s latency %.2f ms, energy %.0f uJ, "
                     "PE utilization %.0f%%\n",
                     net.name.c_str(), cost.latencyMs, cost.energyUj,

@@ -26,6 +26,8 @@ main()
                 options.areaBudgetMm2);
     std::printf("  objective: %s\n\n", env.objective().describe().c_str());
 
+    const farsi::TaskGraphView view(options.graph);
+    farsi::SocEvalScratch scratch;
     for (const std::string agentName : {"GA", "ACO"}) {
         FarsiGymEnv searchEnv(options);
         auto agent =
@@ -36,8 +38,8 @@ main()
         const RunResult r = runSearch(searchEnv, *agent, cfg);
 
         const auto soc = searchEnv.decodeAction(r.bestAction);
-        const auto sim =
-            farsi::evaluateSoc(soc, options.graph);
+        farsi::SocResult sim;
+        farsi::evaluateSoc(soc, view, scratch, sim);
         std::printf("%s (%zu samples):\n  %s\n", agentName.c_str(),
                     r.samplesUsed, soc.str().c_str());
         std::printf("  power %.3f W | latency %.3f ms (%.1f fps) | "

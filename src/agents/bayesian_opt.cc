@@ -609,10 +609,11 @@ GaussianProcess::samplePosteriorBatch(
 
 BayesianOptAgent::BayesianOptAgent(const ParamSpace &space, HyperParams hp,
                                    std::uint64_t seed)
-    : Agent("BO", space, std::move(hp)), rng_(seed), seed_(seed),
+    : Agent("BO", space, std::move(hp)),
       gp_(hp_.get("length_scale", 0.2), hp_.get("signal_var", 1.0),
           hp_.get("noise_var", 1e-4),
-          static_cast<GpKernel>(hp_.getInt("kernel", 0)))
+          static_cast<GpKernel>(hp_.getInt("kernel", 0))),
+      rng_(seed), seed_(seed)
 {
     nInit_ = static_cast<std::size_t>(
         std::max<std::int64_t>(2, hp_.getInt("n_init", 8)));
@@ -637,7 +638,6 @@ BayesianOptAgent::BayesianOptAgent(const ParamSpace &space, HyperParams hp,
     cohortSize_ = static_cast<std::size_t>(
         std::max<std::int64_t>(1, hp_.getInt("cohort", 8)));
     noiseVar_ = hp_.get("noise_var", 1e-4);
-    referenceImpl_ = hp_.getInt("reference_impl", 0) == 1;
     // Window appends then never reallocate the Cholesky factor.
     gp_.reserveCapacity(maxHistory_ + 1);
 }
@@ -677,7 +677,7 @@ BayesianOptAgent::refit()
     // the window limit costs O(n^2) where the seed path refactorized
     // in O(n^3). The GP's own fallbacks (appendFit/dropFit refit from
     // members when an update does not apply) keep this path safe.
-    if (referenceImpl_ || needFullFit_ || !gp_.fitted()) {
+    if (needFullFit_ || !gp_.fitted()) {
         gp_.fit(xs_, ys_);
     } else {
         // Alpha is deferred to one refresh after the whole replay —
@@ -720,29 +720,10 @@ BayesianOptAgent::selectByAcquisition()
     // Candidate set: random points plus local moves around the incumbent.
     const std::size_t localCands = hasBest_ ? numCandidates_ / 4 : 0;
 
-    if (referenceImpl_) {
-        // Seed path: per-candidate scalar predicts, interleaved with
-        // candidate generation (the RNG order batching must reproduce).
-        double bestAcq = -std::numeric_limits<double>::infinity();
-        std::vector<double> bestCand;
-        for (std::size_t c = 0; c < numCandidates_; ++c) {
-            std::vector<double> cand;
-            fillCandidate(cand, c, localCands);
-            double mean, variance;
-            gp_.predict(cand, mean, variance);
-            const double a = acquisitionValue(mean, variance);
-            if (a > bestAcq) {
-                bestAcq = a;
-                bestCand = std::move(cand);
-            }
-        }
-        return space_.fromUnit(bestCand);
-    }
-
-    // Batched path: generate every candidate first (the same RNG draws
-    // in the same order — prediction consumes no randomness), score the
-    // whole set through one blocked GP solve, then argmax with the same
-    // strict-improvement/first-wins tie-breaking as the scalar loop.
+    // Generate every candidate first (the seed path's RNG draws in the
+    // same order — prediction consumes no randomness), score the whole
+    // set through one blocked GP solve, then argmax with the seed's
+    // strict-improvement/first-wins tie-breaking.
     candScratch_.resize(numCandidates_);
     for (std::size_t c = 0; c < numCandidates_; ++c)
         fillCandidate(candScratch_[c], c, localCands);
@@ -959,7 +940,7 @@ BayesianOptAgent::trimHistory()
     // Compact survivors in order and record the eviction plan: dropped
     // indices oldest-first, each already adjusted for the drops before
     // it so it is valid at replay time against the live factor.
-    const bool track = !referenceImpl_ && !needFullFit_;
+    const bool track = !needFullFit_;
     std::vector<std::vector<double>> nx;
     std::vector<double> ny;
     nx.reserve(maxHistory_);
@@ -1000,7 +981,7 @@ BayesianOptAgent::observe(const Action &action, const Metrics &metrics,
         pendingOps_.clear();
         needFullFit_ = true;
     }
-    if (!referenceImpl_ && !needFullFit_ && gp_.fitted()) {
+    if (!needFullFit_ && gp_.fitted()) {
         GpOp op;
         op.kind = GpOp::Kind::Append;
         op.x = u;

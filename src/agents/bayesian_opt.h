@@ -21,9 +21,9 @@
  * candidate scoring runs through GaussianProcess::predictBatch — one
  * blocked multi-RHS solve for the whole candidate set. The pre-overhaul
  * behaviour (full O(n^3) refit on every trim plus per-candidate scalar
- * predicts) is preserved behind the `reference_impl` hyperparameter as
- * the in-tree oracle for equivalence tests and the perf_bo_hotloop
- * bench.
+ * predicts) lives in the test-only archgym_oracles library as
+ * oracle::SeedBayesianOptAgent, which overrides the two protected
+ * hooks below; equivalence tests and the perf_bo_hotloop bench use it.
  */
 
 #ifndef ARCHGYM_AGENTS_BAYESIAN_OPT_H
@@ -328,10 +328,6 @@ class BayesianOptAgent : public Agent
      *  - cohort         (proposals per selectActionBatch call in the
      *                    batch acquisition modes, default 8, min 1;
      *                    ignored by the scalar modes)
-     *  - reference_impl (1 = pre-overhaul oracle path: full GP refit on
-     *                    every history change and per-candidate scalar
-     *                    predicts; default 0. For equivalence tests and
-     *                    the perf_bo_hotloop seed-vs-now comparison.)
      */
     BayesianOptAgent(const ParamSpace &space, HyperParams hp,
                      std::uint64_t seed);
@@ -357,6 +353,24 @@ class BayesianOptAgent : public Agent
 
     std::size_t historySize() const { return xs_.size(); }
 
+  protected:
+    /** Bring the surrogate up to date with the history: replay the
+     *  recorded edits, or refit in full when needFullFit_ is set.
+     *  Virtual so a test oracle can force the full refit. */
+    virtual void refit();
+    /** Scalar-mode proposal: score the candidate set through one
+     *  batched GP solve and take the acquisition argmax. Virtual so a
+     *  test oracle can score with per-candidate scalar predicts. */
+    virtual Action selectByAcquisition();
+    double acquisitionValue(double mean, double variance) const;
+    void fillCandidate(std::vector<double> &cand, std::size_t c,
+                       std::size_t local_cands);
+
+    GaussianProcess gp_;
+    std::size_t numCandidates_;
+    bool hasBest_ = false;
+    bool needFullFit_ = true;  ///< pending ops invalid; refactorize
+
   private:
     /** One deferred surrogate edit recorded by observe(): absorb an
      *  appended observation (bordering update) or evict a training row
@@ -370,16 +384,11 @@ class BayesianOptAgent : public Agent
         double y = 0.0;                ///< Append only
     };
 
-    void refit();
-    double acquisitionValue(double mean, double variance) const;
     /** The EI formula shared by the scalar EI switch case and the
      *  BatchEI cohort loop — one body so a one-slot BatchEI cohort
      *  scores candidates bit-identically to scalar EI. */
     double expectedImprovement(double mean, double variance) const;
     void trimHistory();
-    void fillCandidate(std::vector<double> &cand, std::size_t c,
-                       std::size_t local_cands);
-    Action selectByAcquisition();
     /**
      * Propose min(want, num_candidates) actions for the batch
      * acquisition modes: generate the candidate set (same RNG draws,
@@ -400,20 +409,15 @@ class BayesianOptAgent : public Agent
     Acquisition acq_;
     double kappa_;
     double xi_;
-    std::size_t numCandidates_;
     std::size_t maxHistory_;
     std::size_t cohortSize_;
     double noiseVar_;  ///< mirrors the GP's, for BatchEI fantasization
-    bool referenceImpl_;
 
-    GaussianProcess gp_;
     std::vector<std::vector<double>> xs_;  ///< unit-space observations
     std::vector<double> ys_;
     double bestY_ = -std::numeric_limits<double>::infinity();
     std::vector<double> bestX_;
-    bool hasBest_ = false;
     bool dirty_ = true;  ///< GP needs refit before next prediction
-    bool needFullFit_ = true;  ///< pending ops invalid; refactorize
     std::vector<GpOp> pendingOps_;  ///< history edits since last refit
 
     // Candidate-scoring scratch, reused across selectAction calls.

@@ -7,6 +7,7 @@
 #include <iomanip>
 #include <istream>
 #include <numeric>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -20,9 +21,9 @@ void
 TrajectoryLog::writeCsv(std::ostream &os, const ParamSpace &space,
                         const std::vector<std::string> &metric_names) const
 {
-    os << "# env=" << envName_ << "\n";
-    os << "# agent=" << agentName_ << "\n";
-    os << "# hyperparams=" << hyperParams_ << "\n";
+    os << "# env=" << jsonio::escape(envName_) << "\n";
+    os << "# agent=" << jsonio::escape(agentName_) << "\n";
+    os << "# hyperparams=" << jsonio::escape(hyperParams_) << "\n";
     os << "# action_dims=" << space.size() << "\n";
     os << space.headerCsv();
     for (const auto &m : metric_names)
@@ -51,14 +52,28 @@ TrajectoryLog::writeCsv(std::ostream &os, const ParamSpace &space,
 
 namespace {
 
-/** Value of a "# key=value" comment line, or empty. */
-std::string
+/** Value of a "# key=value" comment line, if the line has that key. */
+std::optional<std::string>
 commentValue(const std::string &line, const std::string &key)
 {
     const std::string prefix = "# " + key + "=";
-    if (line.rfind(prefix, 0) == 0)
-        return line.substr(prefix.size());
-    return "";
+    if (line.rfind(prefix, 0) != 0)
+        return std::nullopt;
+    return line.substr(prefix.size());
+}
+
+/** Decode a header value writeCsv escaped with jsonio::escape. */
+std::string
+unescapeHeader(const std::string &value, std::size_t line_number)
+{
+    const std::string quoted = '"' + value + '"';
+    std::size_t pos = 0;
+    std::string out;
+    if (!jsonio::readString(quoted, pos, out) || pos != quoted.size())
+        throw std::runtime_error("trajectory CSV line " +
+                                 std::to_string(line_number) +
+                                 ": bad escape in '" + value + "'");
+    return out;
 }
 
 /** Parse one full CSV cell as a double; the whole cell must consume. */
@@ -137,33 +152,31 @@ TrajectoryLog::readCsvAll(std::istream &is)
         if (line.empty())
             continue;
         if (line[0] == '#') {
-            if (auto v = commentValue(line, "env"); !v.empty()) {
+            if (auto v = commentValue(line, "env")) {
                 // A fresh `# env=` after this block's header row starts
                 // the next trajectory of a multi-block (shard) CSV.
                 if (block.headerSeen) {
                     logs.push_back(block.finalize(lineNumber));
                     block = BlockState{};
                 }
-                block.env = v;
+                block.env = unescapeHeader(*v, lineNumber);
                 block.any = true;
-            } else if (auto a = commentValue(line, "agent"); !a.empty()) {
-                block.agent = a;
+            } else if (auto a = commentValue(line, "agent")) {
+                block.agent = unescapeHeader(*a, lineNumber);
                 block.any = true;
-            } else if (auto h = commentValue(line, "hyperparams");
-                       !h.empty()) {
-                block.hp = h;
+            } else if (auto h = commentValue(line, "hyperparams")) {
+                block.hp = unescapeHeader(*h, lineNumber);
                 block.any = true;
-            } else if (auto d = commentValue(line, "action_dims");
-                       !d.empty()) {
+            } else if (auto d = commentValue(line, "action_dims")) {
                 std::size_t dims = 0;
                 const auto res = std::from_chars(
-                    d.data(), d.data() + d.size(), dims);
+                    d->data(), d->data() + d->size(), dims);
                 if (res.ec != std::errc{} ||
-                    res.ptr != d.data() + d.size())
+                    res.ptr != d->data() + d->size())
                     throw std::runtime_error(
                         "trajectory CSV line " +
                         std::to_string(lineNumber) +
-                        ": bad action_dims '" + d + "'");
+                        ": bad action_dims '" + *d + "'");
                 block.actionDims = dims;
                 block.any = true;
             }

@@ -20,9 +20,13 @@
  *     1,4,0.5,...                                           <- data rows
  *
  * The comment-header keys are `env`, `agent`, `hyperparams`, and
- * `action_dims`; `action_dims` is the authoritative split between the
- * action columns and the metric columns (readers fall back to assuming
- * three metrics + reward only for foreign CSVs without the hint).
+ * `action_dims`. The three names are JSON string bodies
+ * (jsonio::escape, no quotes): a newline, quote or backslash in a name
+ * cannot split the block, plain names (every in-tree gym, agent and
+ * HyperParams::str()) are written unchanged, and an empty value is a
+ * value. `action_dims` is the authoritative split between the action
+ * columns and the metric columns (readers fall back to assuming three
+ * metrics + reward only for foreign CSVs without the hint).
  * Doubles are written in shortest round-trip form (std::to_chars), so a
  * CSV round trip is value-exact. A file may hold many blocks back to
  * back — each `# env=` line after a header row starts a new trajectory —

@@ -39,8 +39,9 @@
  *    without reallocating. After the first run of a given trace, a run
  *    performs no trace copies and no queue (re)allocations.
  *
- * Behaviour is bit-identical to ReferenceDramController (the seed
- * implementation); tests/test_dramsys.cc enforces this across the full
+ * Behaviour is bit-identical to oracle::ReferenceDramController (the
+ * seed implementation, in the test-only archgym_oracles library under
+ * tests/oracles/); tests/test_dramsys.cc enforces this across the full
  * configuration cross-product on all four trace patterns.
  */
 

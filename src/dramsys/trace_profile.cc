@@ -223,8 +223,6 @@ LruStackTimeline::clear()
 // Profilers
 // ---------------------------------------------------------------------
 
-namespace {
-
 void
 requireProfilerArgs(std::uint64_t line_bytes, std::uint64_t max_distance)
 {
@@ -234,8 +232,6 @@ requireProfilerArgs(std::uint64_t line_bytes, std::uint64_t max_distance)
         throw std::invalid_argument(
             "profiler: maxDistance must be positive");
 }
-
-} // namespace
 
 StackDistanceProfiler::StackDistanceProfiler(std::uint64_t line_bytes,
                                              std::uint64_t max_distance)
@@ -271,65 +267,6 @@ StackDistanceProfiler::observe(const MemoryRequest &r)
 
 StackDistanceCdf
 StackDistanceProfiler::cdf() const
-{
-    StackDistanceCdf out;
-    out.lineBytes = lineBytes_;
-    out.maxDistance = maxDistance_;
-    out.totalAccesses = total_;
-    out.coldAccesses = cold_;
-    out.overflowAccesses = overflow_;
-    out.writeFraction =
-        total_ ? static_cast<double>(writes_) / static_cast<double>(total_)
-               : 0.0;
-    out.meanGapCycles =
-        total_ > 1 ? static_cast<double>(gapSum_) /
-                         static_cast<double>(total_ - 1)
-                   : 0.0;
-    out.histogram = histogram_;
-    return out;
-}
-
-ReferenceStackProfiler::ReferenceStackProfiler(std::uint64_t line_bytes,
-                                               std::uint64_t max_distance)
-    : lineBytes_(line_bytes), maxDistance_(max_distance),
-      histogram_(max_distance, 0)
-{
-    requireProfilerArgs(line_bytes, max_distance);
-}
-
-void
-ReferenceStackProfiler::observe(std::uint64_t address, bool is_write)
-{
-    const std::uint64_t line = address / lineBytes_;
-    const auto it = std::find(stack_.begin(), stack_.end(), line);
-    if (it == stack_.end()) {
-        ++cold_;
-    } else {
-        const std::size_t depth =
-            static_cast<std::size_t>(it - stack_.begin());
-        if (depth >= maxDistance_)
-            ++overflow_;
-        else
-            ++histogram_[depth];
-        stack_.erase(it);
-    }
-    stack_.insert(stack_.begin(), line);
-    ++total_;
-    writes_ += is_write;
-}
-
-void
-ReferenceStackProfiler::observe(const MemoryRequest &r)
-{
-    if (hasArrival_ && r.arrivalCycle >= lastArrival_)
-        gapSum_ += r.arrivalCycle - lastArrival_;
-    lastArrival_ = r.arrivalCycle;
-    hasArrival_ = true;
-    observe(r.address, r.isWrite);
-}
-
-StackDistanceCdf
-ReferenceStackProfiler::cdf() const
 {
     StackDistanceCdf out;
     out.lineBytes = lineBytes_;

@@ -9,9 +9,9 @@
  * the number of distinct lines touched since the previous access to the
  * same line (first touches are "cold", distances beyond maxDistance are
  * "overflow"). The hot path is an O(log N) ordered-statistic structure
- * (a Fenwick tree over last-touch slots, LruStackTimeline); the naive
- * LRU-stack oracle (ReferenceStackProfiler) stays in-tree under
- * randomized bit-identical equivalence tests, per house pattern.
+ * (a Fenwick tree over last-touch slots, LruStackTimeline), checked
+ * bit for bit against the naive LRU-stack oracle in the test-only
+ * archgym_oracles library (tests/oracles/oracles.h).
  *
  * Generation: makeSdSource() inverts a StackDistanceCdf through the
  * same LRU-stack timeline — sample a distance from the CDF, re-touch
@@ -132,6 +132,11 @@ class LruStackTimeline
     std::size_t live_ = 0;
 };
 
+/** Throws std::invalid_argument unless both profiler arguments are
+ *  positive (shared with the test oracle's constructor). */
+void requireProfilerArgs(std::uint64_t line_bytes,
+                         std::uint64_t max_distance);
+
 /**
  * Incremental stack-distance profiler (Fenwick fast path). Feed it a
  * whole trace or observe() addresses as they stream past; cdf() is
@@ -155,39 +160,6 @@ class StackDistanceProfiler
     std::uint64_t lineBytes_;
     std::uint64_t maxDistance_;
     LruStackTimeline stack_;
-    std::vector<std::uint64_t> histogram_;
-    std::uint64_t total_ = 0;
-    std::uint64_t cold_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t writes_ = 0;
-    std::uint64_t lastArrival_ = 0;
-    std::uint64_t gapSum_ = 0;
-    bool hasArrival_ = false;
-};
-
-/**
- * The naive LRU-stack oracle: a plain move-to-front vector, O(N) per
- * access. Kept in-tree purely as the equivalence reference for
- * StackDistanceProfiler (identical observe()/cdf() interface, bit-
- * identical output).
- */
-class ReferenceStackProfiler
-{
-  public:
-    explicit ReferenceStackProfiler(
-        std::uint64_t line_bytes = kTraceCacheLine,
-        std::uint64_t max_distance = 1024);
-
-    void observe(std::uint64_t address, bool is_write);
-    void observe(const MemoryRequest &r);
-
-    StackDistanceCdf cdf() const;
-    std::uint64_t distinctLines() const { return stack_.size(); }
-
-  private:
-    std::uint64_t lineBytes_;
-    std::uint64_t maxDistance_;
-    std::vector<std::uint64_t> stack_;  ///< front = most recently used
     std::vector<std::uint64_t> histogram_;
     std::uint64_t total_ = 0;
     std::uint64_t cold_ = 0;

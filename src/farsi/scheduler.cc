@@ -8,118 +8,6 @@
 
 namespace archgym::farsi {
 
-namespace {
-
-constexpr double kBusPjPerByte = 8.0;
-constexpr double kMemPjPerByte = 15.0;
-
-} // namespace
-
-SocResult
-evaluateSoc(const SocConfig &config, const TaskGraph &graph)
-{
-    assert(graph.topologicallyOrdered());
-
-    SocResult result;
-    result.areaMm2 = config.areaMm2();
-
-    const std::vector<PeSpec> pes = config.instantiate();
-    if (pes.empty()) {
-        result.latencyMs = 1e6;
-        result.powerW = 1e3;
-        return result;
-    }
-
-    // Effective transfer bandwidth in bytes/ns (== GB/s).
-    const double busGBps = static_cast<double>(config.busWidthBits) /
-                           8.0 * config.busFrequencyGhz;
-    const double xferGBps = std::min(busGBps, config.memoryBandwidthGBps);
-
-    std::vector<double> peFree(pes.size(), 0.0);   // ns
-    std::vector<double> peBusy(pes.size(), 0.0);   // accumulated busy ns
-    std::vector<double> finish(graph.tasks.size(), 0.0);
-    result.assignment.assign(graph.tasks.size(), 0);
-    double busFree = 0.0;
-    double busBusy = 0.0;
-    double busBytes = 0.0;
-
-    bool feasible = true;
-    for (std::size_t i = 0; i < graph.tasks.size(); ++i) {
-        // Cooperative run deadline (core/resilience.h). Strided: the
-        // per-task body is sub-microsecond, checking every iteration
-        // would be measurable.
-        if ((i & 0xFFU) == 0)
-            resilience::checkpoint();
-        const Task &t = graph.tasks[i];
-
-        // Inputs must cross the bus after their producers finish;
-        // transfers serialize on the shared interconnect.
-        double dataReady = 0.0;
-        for (const auto &e : graph.edges) {
-            if (e.dst != i)
-                continue;
-            const double start = std::max(finish[e.src], busFree);
-            const double dur = e.bytes / xferGBps;
-            busFree = start + dur;
-            busBusy += dur;
-            busBytes += e.bytes;
-            dataReady = std::max(dataReady, busFree);
-        }
-
-        // Earliest-finish-time PE selection among compatible PEs.
-        double bestFinish = std::numeric_limits<double>::infinity();
-        std::size_t bestPe = pes.size();
-        for (std::size_t p = 0; p < pes.size(); ++p) {
-            if (!pes[p].canRun(t.kind))
-                continue;
-            const double opsPerNs =
-                pes[p].effectiveOpsPerCycle(t.kind) * config.frequencyGhz;
-            const double dur = t.ops / opsPerNs;
-            const double f = std::max(peFree[p], dataReady) + dur;
-            if (f < bestFinish) {
-                bestFinish = f;
-                bestPe = p;
-            }
-        }
-        if (bestPe == pes.size()) {
-            feasible = false;
-            // Pretend a hopelessly slow software fallback handled it so
-            // the schedule (and metrics) stay defined.
-            const double dur = t.ops / (0.05 * config.frequencyGhz);
-            bestPe = 0;
-            bestFinish = std::max(peFree[0], dataReady) + dur;
-        }
-        const double start = std::max(peFree[bestPe], dataReady);
-        finish[i] = bestFinish;
-        peBusy[bestPe] += bestFinish - start;
-        peFree[bestPe] = bestFinish;
-        result.assignment[i] = bestPe;
-    }
-
-    const double makespanNs =
-        std::max(*std::max_element(finish.begin(), finish.end()), busFree);
-    result.feasible = feasible;
-    result.latencyMs = makespanNs / 1e6;
-    result.busUtilization = makespanNs > 0.0 ? busBusy / makespanNs : 0.0;
-
-    // Energy: active (f^2 DVFS scaling) + idle + interconnect + memory.
-    const double f2 = config.frequencyGhz * config.frequencyGhz;
-    double energyPj = 0.0;
-    for (std::size_t p = 0; p < pes.size(); ++p) {
-        const double activeNs = peBusy[p];
-        const double idleNs = makespanNs - activeNs;
-        // 1 W = 1000 pJ/ns; PeSpec powers are in W.
-        energyPj += activeNs * pes[p].activePowerW * f2 * 1000.0;
-        energyPj += idleNs * pes[p].idlePowerW * 1000.0;
-    }
-    energyPj += busBytes * (kBusPjPerByte + kMemPjPerByte);
-
-    result.energyMj = energyPj / 1e9;
-    result.powerW = makespanNs > 0.0 ? energyPj / makespanNs / 1000.0
-                                     : 0.0;
-    return result;
-}
-
 TaskGraphView::TaskGraphView(const TaskGraph &graph)
 {
     assert(graph.topologicallyOrdered());
@@ -207,7 +95,9 @@ evaluateSoc(const SocConfig &config, const TaskGraphView &view,
 
     bool feasible = true;
     for (std::size_t i = 0; i < numTasks; ++i) {
-        // Cooperative run deadline, same stride as the reference path.
+        // Cooperative run deadline (core/resilience.h). Strided: the
+        // per-task body is sub-microsecond, checking every iteration
+        // would be measurable.
         if ((i & 0xFFU) == 0)
             resilience::checkpoint();
         double dataReady = 0.0;
@@ -227,8 +117,8 @@ evaluateSoc(const SocConfig &config, const TaskGraphView &view,
         std::size_t bestPe = numPes;
         // The task duration (the expensive division) is computed once
         // per class instead of once per instance; the earliest-finish
-        // scan over instances is unchanged, keeping tie-breaking (and
-        // the reported assignment) bit-identical to the reference.
+        // scan over instances keeps tie-breaking (and the reported
+        // assignment) bit-identical to the per-instance scan.
         for (std::size_t r = 0; r < numRuns; ++r) {
             const PeSpec &spec = *runs[r].spec;
             if (!spec.canRun(kind))

@@ -37,17 +37,9 @@ struct SocResult
     std::vector<std::size_t> assignment;
 };
 
-/**
- * Evaluate the SoC. Infeasible allocations (a task with no compatible PE)
- * return feasible=false with pessimistic metrics so searches are steered
- * away smoothly rather than crashing.
- *
- * This entry point re-derives the per-task dependency structure on every
- * call — it is the per-step-rebuild reference path. Hot loops (the gym
- * environment's step()) use the TaskGraphView overload below, which is
- * bit-identical but allocation-free at steady state.
- */
-SocResult evaluateSoc(const SocConfig &config, const TaskGraph &graph);
+/** Interconnect and memory energy per transferred byte. */
+constexpr double kBusPjPerByte = 8.0;
+constexpr double kMemPjPerByte = 15.0;
 
 /**
  * Immutable preprocessed workload view, built once per environment and
@@ -104,10 +96,14 @@ struct SocEvalScratch
 };
 
 /**
- * Zero-copy evaluation path: identical results to
- * evaluateSoc(config, graph) for the graph the view was built from, but
- * all working storage lives in `scratch` and `out` and is reset by
- * reuse — after the first call, no allocation happens per step.
+ * Evaluate the SoC on the graph the view was built from. Infeasible
+ * allocations (a task with no compatible PE) return feasible=false with
+ * pessimistic metrics so searches are steered away smoothly rather than
+ * crashing. All working storage lives in `scratch` and `out` and is
+ * reset by reuse — after the first call, no allocation happens per
+ * step. Bit-identical to the seed's per-step-rebuild scheduler, which
+ * the test-only archgym_oracles library keeps
+ * (tests/oracles/oracles.h).
  */
 void evaluateSoc(const SocConfig &config, const TaskGraphView &view,
                  SocEvalScratch &scratch, SocResult &out);

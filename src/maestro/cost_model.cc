@@ -7,9 +7,6 @@
 
 namespace archgym::maestro {
 
-namespace {
-
-/** Per-dimension extents of the layer, indexed by Dim. */
 std::array<double, kNumDims>
 dimSizes(const ConvLayer &l)
 {
@@ -21,11 +18,9 @@ dimSizes(const ConvLayer &l)
             static_cast<double>(l.outW)};
 }
 
-/** Whether the loop dimension indexes the operand. */
 bool
 relevant(Dim d, int operand)
 {
-    // operand: 0 = weights, 1 = inputs, 2 = outputs.
     switch (operand) {
       case 0:  // W[k][c][r][s]
         return d == Dim::K || d == Dim::C || d == Dim::R || d == Dim::S;
@@ -36,153 +31,6 @@ relevant(Dim d, int operand)
       default:
         return d == Dim::K || d == Dim::Y || d == Dim::X;
     }
-}
-
-} // namespace
-
-MappingCost
-evaluateMapping(const Mapping &mapping, const ConvLayer &layer,
-                const MaestroHardware &hw)
-{
-    MappingCost cost;
-    const auto sizes = dimSizes(layer);
-
-    // Clamp tiles to the layer's actual extents.
-    std::array<double, kNumDims> tile;
-    std::array<double, kNumDims> trips;
-    for (std::size_t i = 0; i < kNumDims; ++i) {
-        tile[i] = std::min(static_cast<double>(
-                               std::max(1u, mapping.tile[i])),
-                           sizes[i]);
-        trips[i] = std::ceil(sizes[i] / tile[i]);
-    }
-
-    const double pes = std::max(1u, mapping.numPEs);
-    const auto spatial = static_cast<std::size_t>(mapping.spatialDim);
-
-    // Spatial waves: tiles of the spatial dim processed concurrently.
-    const double spatialTrips = trips[spatial];
-    const double waves = std::ceil(spatialTrips / pes);
-    const double activePes = std::min(pes, spatialTrips);
-
-    // --- L1 tile footprints (words) ------------------------------------
-    const double tk = tile[0], tc = tile[1], tr = tile[2], ts = tile[3],
-                 ty = tile[4], tx = tile[5];
-    const double stride = layer.stride;
-    const double inTileH = (ty - 1.0) * stride + tr;
-    const double inTileW = (tx - 1.0) * stride + ts;
-    const std::array<double, 3> footprint = {
-        tk * tc * tr * ts,        // weights
-        tc * inTileH * inTileW,   // inputs
-        tk * ty * tx,             // outputs (psums)
-    };
-    cost.l1Required = footprint[0] + footprint[1] + footprint[2];
-
-    // --- L2 -> L1 traffic via loop-order reuse analysis ----------------
-    const auto order = mapping.loopOrder();
-    std::array<double, 3> loads = {1.0, 1.0, 1.0};
-    for (int op = 0; op < 3; ++op) {
-        // Innermost contiguous run of irrelevant loops is reused; all
-        // loops at or outside the innermost *relevant* loop multiply the
-        // reload count.
-        std::size_t innermostRelevant = kNumDims;  // none
-        for (std::size_t pos = 0; pos < kNumDims; ++pos) {
-            if (relevant(order[pos], op))
-                innermostRelevant = pos;
-        }
-        for (std::size_t pos = 0; pos < kNumDims; ++pos) {
-            if (innermostRelevant == kNumDims || pos > innermostRelevant)
-                continue;  // inside the reuse run
-            const auto d = static_cast<std::size_t>(order[pos]);
-            if (d == spatial) {
-                // Spatially unrolled: relevant operands ship distinct
-                // tiles to every PE (full trip count of traffic);
-                // irrelevant operands are multicast once per wave.
-                loads[op] *= relevant(order[pos], op) ? trips[d] : waves;
-            } else {
-                loads[op] *= trips[d];
-            }
-        }
-    }
-    // Outputs are read-modify-written on every reload beyond the first.
-    const double l2Traffic = loads[0] * footprint[0] +
-                             loads[1] * footprint[1] +
-                             (2.0 * loads[2] - 1.0) * footprint[2];
-
-    // --- L2 capacity & DRAM traffic ------------------------------------
-    // L2 must hold one wave's worth of distinct tiles plus multicast data.
-    cost.l2Required = footprint[0] * activePes + footprint[1] * activePes +
-                      footprint[2] * activePes;
-    const double l2Cap = static_cast<double>(hw.l2KiloWords) * 1024.0;
-    double spillFactor = 1.0;
-    cost.buffersFit = true;
-    if (cost.l1Required > hw.l1Words) {
-        spillFactor *= cost.l1Required / hw.l1Words;
-        cost.buffersFit = false;
-    }
-    if (cost.l2Required > l2Cap) {
-        spillFactor *= cost.l2Required / l2Cap;
-        cost.buffersFit = false;
-    }
-    const double dramTraffic =
-        (layer.weightCount() + layer.inputCount() +
-         2.0 * layer.outputCount()) *
-        spillFactor;
-
-    // --- runtime ---------------------------------------------------------
-    const double macs = layer.macs();
-    double temporalTiles = 1.0;
-    for (std::size_t i = 0; i < kNumDims; ++i)
-        if (i != spatial)
-            temporalTiles *= trips[i];
-    const double tileMacs = tk * tc * tr * ts * ty * tx;
-    const double computeCycles = temporalTiles * waves * tileMacs;
-    const double nocCycles = l2Traffic / hw.nocWordsPerCycle;
-    const double dramCycles = dramTraffic / hw.dramWordsPerCycle;
-    cost.runtimeCycles =
-        std::max({computeCycles, nocCycles, dramCycles, 1.0});
-    cost.throughputMacsPerCycle = macs / cost.runtimeCycles;
-
-    // --- energy ----------------------------------------------------------
-    const double l1Accesses = 3.0 * macs;
-    cost.dramAccesses = dramTraffic;
-    cost.l2Accesses = l2Traffic;
-    const double energyPj = dramTraffic * hw.dramPj + l2Traffic * hw.l2Pj +
-                            l1Accesses * hw.l1Pj + macs * hw.macPj;
-    cost.energyUj = energyPj / 1e6;
-
-    // --- area --------------------------------------------------------------
-    cost.areaMm2 = pes * hw.peAreaMm2 +
-                   pes * hw.l1Words * hw.l1AreaMm2PerWord +
-                   hw.l2KiloWords * hw.l2AreaMm2PerKiloWord;
-    return cost;
-}
-
-MappingCost
-evaluateMappingOnNetwork(const Mapping &mapping, const Network &network,
-                         const MaestroHardware &hw)
-{
-    MappingCost total;
-    total.buffersFit = true;
-    for (const auto &layer : network.layers) {
-        // Cooperative run deadline (core/resilience.h): per-layer, the
-        // natural stride of the mapper evaluation.
-        resilience::checkpoint();
-        const MappingCost c = evaluateMapping(mapping, layer, hw);
-        total.runtimeCycles += c.runtimeCycles;
-        total.energyUj += c.energyUj;
-        total.dramAccesses += c.dramAccesses;
-        total.l2Accesses += c.l2Accesses;
-        total.l1Required = std::max(total.l1Required, c.l1Required);
-        total.l2Required = std::max(total.l2Required, c.l2Required);
-        total.buffersFit = total.buffersFit && c.buffersFit;
-        total.areaMm2 = c.areaMm2;
-    }
-    total.throughputMacsPerCycle =
-        total.runtimeCycles > 0.0 ? network.totalMacs() /
-                                        total.runtimeCycles
-                                  : 0.0;
-    return total;
 }
 
 LayerView::LayerView(const ConvLayer &layer)
@@ -297,7 +145,7 @@ evaluateMappingImpl(const MappingAnalysis &an, const LayerView &view,
     cost.l1Required = footprint[0] + footprint[1] + footprint[2];
 
     // L2 -> L1 traffic via the precomputed per-operand reuse factors;
-    // multiplication order matches the reference's position scan.
+    // multiplication order matches a scan of the loop positions.
     std::array<double, 3> loads = {1.0, 1.0, 1.0};
     for (int op = 0; op < 3; ++op) {
         for (std::size_t j = 0; j < an.numFactors[op]; ++j) {
@@ -365,7 +213,8 @@ evaluateMappingOnNetwork(const Mapping &mapping, const NetworkView &network,
     MappingCost total;
     total.buffersFit = true;
     for (const LayerView &layer : network.layers()) {
-        // Cooperative run deadline, mirroring the reference path.
+        // Cooperative run deadline (core/resilience.h): per-layer, the
+        // natural stride of the mapper evaluation.
         resilience::checkpoint();
         const MappingCost c = evaluateMappingImpl(analysis, layer, hw);
         total.runtimeCycles += c.runtimeCycles;

@@ -57,19 +57,12 @@ struct MappingCost
     bool buffersFit = true;        ///< capacity respected without spills
 };
 
-/** Evaluate one layer under the mapping; always finite.
- *
- *  Re-derives the loop order and every layer extent per call — the
- *  per-step-rebuild reference path. Hot loops use the NetworkView
- *  overloads below, which are bit-identical but derive the loop-order
- *  reuse analysis once per mapping and the layer extents once ever. */
-MappingCost evaluateMapping(const Mapping &mapping, const ConvLayer &layer,
-                            const MaestroHardware &hw = {});
+/** Per-dimension extents of the layer, indexed by Dim. */
+std::array<double, kNumDims> dimSizes(const ConvLayer &layer);
 
-/** Sum over a network with the same mapping applied to every layer. */
-MappingCost evaluateMappingOnNetwork(const Mapping &mapping,
-                                     const Network &network,
-                                     const MaestroHardware &hw = {});
+/** Whether the loop dimension indexes the operand (0 = weights,
+ *  1 = inputs, 2 = outputs). */
+bool relevant(Dim d, int operand);
 
 /** Immutable per-layer extents: the dimension sizes the per-step tile
  *  clamp runs against, plus the operand counts the DRAM-traffic term
@@ -102,14 +95,16 @@ class NetworkView
     double totalMacs_ = 0.0;
 };
 
-/** Bit-identical to evaluateMapping(mapping, layer, hw) for the layer
- *  the view was built from. */
+/** Evaluate one layer under the mapping; always finite. Bit-identical
+ *  to the seed's per-step-rebuild model, which re-derived the loop
+ *  order and every layer extent per call and which the test-only
+ *  archgym_oracles library keeps (tests/oracles/oracles.h). */
 MappingCost evaluateMapping(const Mapping &mapping, const LayerView &layer,
                             const MaestroHardware &hw = {});
 
-/** Bit-identical to the Network overload: the loop-order reuse analysis
- *  (argsort + per-operand reuse runs) is derived once per mapping
- *  instead of once per layer. */
+/** Sum over a network with the same mapping applied to every layer.
+ *  The loop-order reuse analysis (argsort + per-operand reuse runs) is
+ *  derived once per mapping instead of once per layer. */
 MappingCost evaluateMappingOnNetwork(const Mapping &mapping,
                                      const NetworkView &network,
                                      const MaestroHardware &hw = {});

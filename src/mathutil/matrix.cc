@@ -282,8 +282,8 @@ solveUpperBlock16(const double *__restrict fac, std::size_t n,
  * clamp at zero. Per lane j the arithmetic (k-ascending
  * multiply-accumulate from zero, norm sum before the doubled dot is
  * subtracted, clamp spelled as the same compare-select) matches
- * crossSquaredDistancesNaive exactly, so entries are bit-identical to
- * the scalar oracle.
+ * the per-pair scalar loop exactly, so entries are bit-identical to
+ * the test oracle (oracle::crossSquaredDistancesNaive).
  */
 __attribute__((noinline)) void
 crossSquaredDistancesBlock16(const double *__restrict ai,
@@ -492,33 +492,14 @@ crossSquaredDistances(const double *a, const double *a_norms,
             crossSquaredDistancesBlock16(ai, a_norms[i], bt, b_norms,
                                          nb, dim, oi, c0);
         // Remainder columns: the naive per-pair decomposition (same
-        // arithmetic as crossSquaredDistancesNaive), kept structurally
-        // distinct from the block kernel.
+        // arithmetic as the test oracle), kept structurally distinct
+        // from the block kernel.
         for (std::size_t j = full; j < nb; ++j) {
             double s = 0.0;
             for (std::size_t k = 0; k < dim; ++k)
                 s += ai[k] * bt[k * nb + j];
             const double d2 = (a_norms[i] + b_norms[j]) - 2.0 * s;
             oi[j] = d2 < 0.0 ? 0.0 : d2;
-        }
-    }
-}
-
-void
-crossSquaredDistancesNaive(const double *a, const double *a_norms,
-                           std::size_t na, const double *b,
-                           const double *b_norms, std::size_t nb,
-                           std::size_t dim, double *out)
-{
-    for (std::size_t i = 0; i < na; ++i) {
-        const double *ai = a + i * dim;
-        for (std::size_t j = 0; j < nb; ++j) {
-            const double *bj = b + j * dim;
-            double s = 0.0;
-            for (std::size_t k = 0; k < dim; ++k)
-                s += ai[k] * bj[k];
-            const double d2 = (a_norms[i] + b_norms[j]) - 2.0 * s;
-            out[i * nb + j] = d2 < 0.0 ? 0.0 : d2;
         }
     }
 }

@@ -309,9 +309,9 @@ void rowSquaredNorms(const double *a, std::size_t n, std::size_t dim,
  * terms can drive tiny true distances a few ulps negative). One
  * blocked pass computes the whole na x nb matrix: per (i, j) the dot
  * product runs k-ascending with independent vector lanes over j, so
- * every entry is bit-identical to crossSquaredDistancesNaive — the
- * per-pair scalar loop with the same decomposition — at any block
- * geometry.
+ * every entry is bit-identical to the per-pair scalar loop with the
+ * same decomposition (oracle::crossSquaredDistancesNaive in the
+ * test-only archgym_oracles library) at any block geometry.
  *
  * This is the kernel-matrix build behind GaussianProcess::predictBatch:
  * O(na nb dim) flops that previously hid behind per-pair
@@ -328,17 +328,6 @@ void crossSquaredDistances(const double *a, const double *a_norms,
                            std::size_t na, const double *bt,
                            const double *b_norms, std::size_t nb,
                            std::size_t dim, double *out);
-
-/**
- * Reference implementation of crossSquaredDistances: same |a|^2 +
- * |b|^2 - 2 a.b decomposition (NOT the subtract-and-square form — the
- * two differ in roundoff), per pair, with b row-major (nb x dim). The
- * in-tree oracle for the blocked kernel's equivalence suite.
- */
-void crossSquaredDistancesNaive(const double *a, const double *a_norms,
-                                std::size_t na, const double *b,
-                                const double *b_norms, std::size_t nb,
-                                std::size_t dim, double *out);
 
 /** Dot product. @pre a.size() == b.size() */
 double dot(const std::vector<double> &a, const std::vector<double> &b);

@@ -9,9 +9,6 @@
 
 namespace archgym::timeloop {
 
-namespace {
-
-/** Power-of-two tile candidates up to (and including) a cap. */
 std::vector<std::uint32_t>
 tileCandidates(std::uint32_t dim)
 {
@@ -22,136 +19,17 @@ tileCandidates(std::uint32_t dim)
     return out;
 }
 
-struct MappingCost
-{
-    double dramWords = std::numeric_limits<double>::infinity();
-    double gbWords = 0.0;
-    double spadWords = 0.0;
-    double computeCycles = 0.0;
-    double utilization = 0.0;
-};
-
-/**
- * Evaluate one (tileK, tileC, tileP) candidate. The loop nest keeps a
- * weight tile resident in the scratchpads while streaming input/output
- * tiles through the global buffer (weight-stationary outer loop).
- */
-bool
-evaluateMapping(const AcceleratorConfig &cfg, const ConvLayer &l,
-                std::uint32_t tk, std::uint32_t tc, std::uint32_t tp,
-                MappingCost &out)
-{
-    const double pes = cfg.numPEs;
-
-    // --- capacity checks ---------------------------------------------
-    // Weight tile is distributed across the PE array.
-    const double weightTile = static_cast<double>(tk) * tc * l.kernelH *
-                              l.kernelW;
-    const double weightCap =
-        pes * static_cast<double>(cfg.weightSpadEntries);
-    if (weightTile > weightCap)
-        return false;
-
-    // Input rows for one output-tile row and psum tile per PE.
-    const double inputTileRows =
-        (static_cast<double>(tp - 1) * l.stride + l.kernelH);
-    const double inputTile = static_cast<double>(tc) * inputTileRows *
-                             l.inputW();
-    const double outputTile = static_cast<double>(tk) * tp * l.outW;
-    const double gbWordsCap = static_cast<double>(cfg.globalBufferKb) *
-                              1024.0 / 2.0;  // 16-bit words
-    if (inputTile + outputTile > gbWordsCap)
-        return false;
-    const double psumPerPe = outputTile / pes;
-    if (psumPerPe > cfg.accumSpadEntries)
-        return false;
-
-    // --- trip counts ---------------------------------------------------
-    const double passesK = std::ceil(static_cast<double>(l.outChannels) /
-                                     tk);
-    const double passesC = std::ceil(static_cast<double>(l.inChannels) /
-                                     tc);
-    const double passesP = std::ceil(static_cast<double>(l.outH) / tp);
-    const double batch = l.batch;
-
-    // --- DRAM traffic (words) ------------------------------------------
-    // Weights: one fetch per (K, C) tile, reused across all output tiles
-    // of the layer (weight-stationary).
-    const double weightDram = l.weightCount();
-    // Inputs: refetched once per K-tile pass (outputs of different K
-    // tiles need the same inputs again).
-    const double inputDram = l.inputCount() * passesK;
-    // Outputs: written once; partial sums spill once per extra C pass.
-    const double outputDram = l.outputCount() * (2.0 * passesC - 1.0);
-    const double dram = weightDram + inputDram + outputDram;
-
-    // --- Global-buffer traffic ------------------------------------------
-    // All DRAM traffic passes through the GB, plus array-side reuse
-    // traffic: every input element is multicast to the PEs needing it
-    // once per (K tile, P tile) pass, so GB input traffic scales with
-    // both the K and the P trip counts.
-    const double gb = dram + l.inputCount() * passesK * passesP +
-                      l.outputCount() * passesC;
-
-    // --- Scratchpad traffic (dominant: 3 words per MAC) ----------------
-    const double spad = 3.0 * l.macs();
-
-    // --- Compute -------------------------------------------------------
-    // Spatial mapping: K x P unrolled across the array.
-    const double spatial = std::min(pes, static_cast<double>(tk) * tp);
-    const double util = spatial / pes;
-    const double compute = l.macs() / std::max(1.0, spatial);
-
-    out.dramWords = dram * batch;
-    out.gbWords = gb * batch;
-    out.spadWords = spad;
-    out.computeCycles = compute;
-    out.utilization = util;
-    return true;
-}
-
-} // namespace
-
 LayerCost
-evaluateLayer(const AcceleratorConfig &config, const ConvLayer &layer,
-              const TechModel &tech)
+layerCost(const AcceleratorConfig &config, const TechModel &tech,
+          MappingTotals best, bool found, double macs)
 {
-    MappingCost best;
-    bool found = false;
-    double bestScore = std::numeric_limits<double>::infinity();
-
-    for (std::uint32_t tk : tileCandidates(layer.outChannels)) {
-        // Cooperative run deadline: the mapper enumeration is the
-        // layer-evaluation hot loop (core/resilience.h).
-        resilience::checkpoint();
-        for (std::uint32_t tc : tileCandidates(layer.inChannels)) {
-            for (std::uint32_t tp : tileCandidates(layer.outH)) {
-                MappingCost mc;
-                if (!evaluateMapping(config, layer, tk, tc, tp, mc))
-                    continue;
-                // Rank mappings by a DRAM-energy-dominated score, the
-                // same first-order criterion Timeloop's mapper optimizes.
-                const double score =
-                    mc.dramWords * tech.dramPj +
-                    mc.gbWords * tech.globalBufferPj +
-                    mc.computeCycles;
-                if (score < bestScore) {
-                    bestScore = score;
-                    best = mc;
-                    found = true;
-                }
-            }
-        }
-    }
-
     if (!found) {
         // Degenerate fallback: stream everything, minimal tiles.
-        best.dramWords = layer.macs() * 3.0;
+        best.dramWords = macs * 3.0;
         best.gbWords = best.dramWords;
-        best.spadWords = 3.0 * layer.macs();
-        best.computeCycles = layer.macs() /
-                             std::max(1.0,
-                                      static_cast<double>(config.numPEs));
+        best.spadWords = 3.0 * macs;
+        best.computeCycles =
+            macs / std::max(1.0, static_cast<double>(config.numPEs));
         best.utilization = 1.0 / config.numPEs;
     }
 
@@ -171,34 +49,12 @@ evaluateLayer(const AcceleratorConfig &config, const ConvLayer &layer,
     const double dynamicPj = best.dramWords * tech.dramPj +
                              best.gbWords * tech.globalBufferPj +
                              best.spadWords * tech.spadPj +
-                             layer.macs() * tech.macPj +
+                             macs * tech.macPj +
                              best.gbWords * tech.nocPjPerHop;
     const double leakagePj = cost.areaMm2 * tech.leakageMwPerMm2 *
                              (cost.cycles / config.clockGhz);  // mW * ns
     cost.energyUj = (dynamicPj + leakagePj) / 1e6;
     return cost;
-}
-
-LayerCost
-evaluateNetwork(const AcceleratorConfig &config, const Network &network,
-                const TechModel &tech)
-{
-    LayerCost total;
-    total.areaMm2 = areaMm2(config, tech);
-    double utilWeighted = 0.0;
-    for (const auto &layer : network.layers) {
-        const LayerCost c = evaluateLayer(config, layer, tech);
-        total.cycles += c.cycles;
-        total.latencyMs += c.latencyMs;
-        total.energyUj += c.energyUj;
-        total.dramAccesses += c.dramAccesses;
-        total.bufferAccesses += c.bufferAccesses;
-        total.spadAccesses += c.spadAccesses;
-        utilWeighted += c.utilization * c.cycles;
-    }
-    total.utilization =
-        total.cycles > 0.0 ? utilWeighted / total.cycles : 0.0;
-    return total;
 }
 
 LayerView::LayerView(const ConvLayer &l)
@@ -230,18 +86,20 @@ evaluateLayer(const AcceleratorConfig &config, const LayerView &view,
         static_cast<double>(config.globalBufferKb) * 1024.0 / 2.0;
     const double batch = l.batch;
 
-    MappingCost best;
+    MappingTotals best;
     bool found = false;
     double bestScore = std::numeric_limits<double>::infinity();
 
     // The loop nest below enumerates the same (tk, tc, tp) candidates in
     // the same order and with the same per-candidate arithmetic as the
-    // reference evaluateLayer, so the selected mapping (and every cost
-    // number) is bit-identical. Everything that depends on only tk or
+    // seed's per-step-rebuild mapper (oracle::evaluateLayer in the
+    // test-only archgym_oracles library), so the selected mapping (and
+    // every cost number) is bit-identical. Everything that depends on only tk or
     // (tk, tc) is hoisted out of the innermost loop, and the capacity
     // checks — monotone in the tile sizes — turn 'continue' into 'break'.
     for (std::uint32_t tk : view.tilesK) {
-        // Cooperative run deadline, mirroring the reference mapper loop.
+        // Cooperative run deadline (core/resilience.h): the mapper
+        // enumeration is the layer-evaluation hot loop.
         resilience::checkpoint();
         const double tkD = tk;
         const double passesK =
@@ -303,38 +161,7 @@ evaluateLayer(const AcceleratorConfig &config, const LayerView &view,
             break;
     }
 
-    if (!found) {
-        best.dramWords = view.macs * 3.0;
-        best.gbWords = best.dramWords;
-        best.spadWords = 3.0 * view.macs;
-        best.computeCycles =
-            view.macs /
-            std::max(1.0, static_cast<double>(config.numPEs));
-        best.utilization = 1.0 / config.numPEs;
-    }
-
-    LayerCost cost;
-    const double dramCycles =
-        best.dramWords / std::max(1u, config.dramWordsPerCycle);
-    const double nocCycles =
-        best.gbWords / std::max(1u, config.nocWordsPerCycle);
-    cost.cycles = std::max({best.computeCycles, dramCycles, nocCycles});
-    cost.latencyMs = cost.cycles / (config.clockGhz * 1e6);
-    cost.utilization = best.utilization;
-    cost.dramAccesses = best.dramWords;
-    cost.bufferAccesses = best.gbWords;
-    cost.spadAccesses = best.spadWords;
-    cost.areaMm2 = areaMm2(config, tech);
-
-    const double dynamicPj = best.dramWords * tech.dramPj +
-                             best.gbWords * tech.globalBufferPj +
-                             best.spadWords * tech.spadPj +
-                             view.macs * tech.macPj +
-                             best.gbWords * tech.nocPjPerHop;
-    const double leakagePj = cost.areaMm2 * tech.leakageMwPerMm2 *
-                             (cost.cycles / config.clockGhz);  // mW * ns
-    cost.energyUj = (dynamicPj + leakagePj) / 1e6;
-    return cost;
+    return layerCost(config, tech, best, found, view.macs);
 }
 
 LayerCost

@@ -17,6 +17,8 @@
 #ifndef ARCHGYM_TIMELOOP_COST_MODEL_H
 #define ARCHGYM_TIMELOOP_COST_MODEL_H
 
+#include <limits>
+
 #include "timeloop/accelerator.h"
 #include "timeloop/workload.h"
 
@@ -38,21 +40,24 @@ struct LayerCost
     double edp() const { return energyUj * latencyMs; }
 };
 
-/** Evaluate one layer; always returns a finite cost (worst-case tiling
- *  degenerates to streaming everything from DRAM).
- *
- *  This entry point re-derives tile candidates and operand counts per
- *  call — the per-step-rebuild reference path. Hot loops use the
- *  LayerView/NetworkView overloads below, which are bit-identical but
- *  precompute everything layer-dependent once. */
-LayerCost evaluateLayer(const AcceleratorConfig &config,
-                        const ConvLayer &layer,
-                        const TechModel &tech = {});
+/** Power-of-two tile candidates 1, 2, 4, ... below dim, then dim. */
+std::vector<std::uint32_t> tileCandidates(std::uint32_t dim);
 
-/** Sum of per-layer costs over a network (area is not accumulated). */
-LayerCost evaluateNetwork(const AcceleratorConfig &config,
-                          const Network &network,
-                          const TechModel &tech = {});
+/** Per-level traffic and compute of one candidate tiling. */
+struct MappingTotals
+{
+    double dramWords = std::numeric_limits<double>::infinity();
+    double gbWords = 0.0;
+    double spadWords = 0.0;
+    double computeCycles = 0.0;
+    double utilization = 0.0;
+};
+
+/** Roofline latency, access plus leakage energy, and area of a layer of
+ *  `macs` MACs under the mapper's pick `best`, or, when no tiling fit
+ *  (found false), under the stream-everything fallback. */
+LayerCost layerCost(const AcceleratorConfig &config, const TechModel &tech,
+                    MappingTotals best, bool found, double macs);
 
 /**
  * Immutable preprocessed view of one layer: the power-of-two tile
@@ -91,13 +96,16 @@ class NetworkView
     std::vector<LayerView> layers_;
 };
 
-/** Bit-identical to evaluateLayer(config, view.layer, tech), with all
- *  layer-only quantities read from the view and candidate loops pruned
- *  by capacity monotonicity — no per-call allocation or re-derivation. */
+/** Evaluate one layer; always returns a finite cost (worst-case tiling
+ *  degenerates to streaming everything from DRAM). All layer-only
+ *  quantities are read from the view and candidate loops are pruned by
+ *  capacity monotonicity — no per-call allocation or re-derivation.
+ *  Bit-identical to the seed's per-step-rebuild mapper, which the
+ *  test-only archgym_oracles library keeps (tests/oracles/oracles.h). */
 LayerCost evaluateLayer(const AcceleratorConfig &config,
                         const LayerView &view, const TechModel &tech = {});
 
-/** Bit-identical to evaluateNetwork over the network the view wraps. */
+/** Sum of per-layer costs over a network (area is not accumulated). */
 LayerCost evaluateNetwork(const AcceleratorConfig &config,
                           const NetworkView &network,
                           const TechModel &tech = {});

@@ -29,6 +29,7 @@
 #include "agents/simulated_annealing.h"
 #include "core/driver.h"
 #include "core/toy_envs.h"
+#include "oracles/oracles.h"
 
 namespace archgym {
 namespace {
@@ -756,7 +757,7 @@ TEST(BayesianOpt, HistoryWindowIsBounded)
 
 TEST(BayesianOpt, SteadyStateDowndatePathTracksReferenceImpl)
 {
-    // Drive the optimized agent and the reference_impl oracle (full GP
+    // Drive the optimized agent and the seed-path oracle (full GP
     // refit on every history change, scalar per-candidate predicts)
     // through the same windowed search: same seed, same environment.
     // The trajectories must agree sample for sample — the downdate /
@@ -767,10 +768,8 @@ TEST(BayesianOpt, SteadyStateDowndatePathTracksReferenceImpl)
     HyperParams opt{{"max_history", 24},
                     {"num_candidates", 32},
                     {"n_init", 6}};
-    HyperParams ref = opt;
-    ref.set("reference_impl", 1);
     BayesianOptAgent optAgent(optEnv.actionSpace(), opt, 42);
-    BayesianOptAgent refAgent(refEnv.actionSpace(), ref, 42);
+    oracle::SeedBayesianOptAgent refAgent(refEnv.actionSpace(), opt, 42);
     RunConfig cfg;
     cfg.maxSamples = 90;
     const RunResult optRun = runSearch(optEnv, optAgent, cfg);

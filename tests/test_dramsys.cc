@@ -16,7 +16,7 @@
 #include "dramsys/dram_device.h"
 #include "dramsys/power_model.h"
 #include "dramsys/memspec_presets.h"
-#include "dramsys/reference_controller.h"
+#include "oracles/oracles.h"
 #include "dramsys/trace_gen.h"
 
 namespace archgym::dram {
@@ -900,7 +900,7 @@ TEST(GoldenEquivalence, FullConfigCrossProductOnAllPatterns)
                             cfg.maxActiveTransactions = 8;
 
                             DramController opt(spec, cfg);
-                            ReferenceDramController ref(spec, cfg);
+                            oracle::ReferenceDramController ref(spec, cfg);
                             std::ostringstream label;
                             label << toString(pattern) << "/"
                                   << toString(page) << "/"
@@ -963,7 +963,7 @@ TEST(GoldenEquivalence, LongRefreshHeavyTraceMatches)
         cfg.refreshMaxPostponed = 1;
         cfg.refreshMaxPulledin = 1;
         DramController opt(spec, cfg);
-        ReferenceDramController ref(spec, cfg);
+        oracle::ReferenceDramController ref(spec, cfg);
         expectIdenticalResults(opt.run(decoded), ref.run(trace),
                                std::string("long/") + toString(sched));
     }

@@ -10,6 +10,7 @@
 #include "farsi/soc.h"
 #include "farsi/task_graph.h"
 #include "mathutil/rng.h"
+#include "oracles/oracles.h"
 
 namespace archgym::farsi {
 namespace {
@@ -23,6 +24,16 @@ baselineSoc()
     cfg.dspAccels = 0;
     cfg.imageAccels = 0;
     return cfg;
+}
+
+/** The production path over a view built for this one evaluation. */
+SocResult
+evaluate(const SocConfig &cfg, const TaskGraph &graph)
+{
+    SocEvalScratch scratch;
+    SocResult out;
+    evaluateSoc(cfg, TaskGraphView(graph), scratch, out);
+    return out;
 }
 
 // --------------------------------------------------------------------
@@ -57,9 +68,9 @@ TEST(Scheduler, ArOverlayBenefitsFromBothAccelerators)
     imgOnly.imageAccels = 1;
     SocConfig both = imgOnly;
     both.dspAccels = 1;
-    const double baseLat = evaluateSoc(base, arOverlay()).latencyMs;
-    const double imgLat = evaluateSoc(imgOnly, arOverlay()).latencyMs;
-    const double bothLat = evaluateSoc(both, arOverlay()).latencyMs;
+    const double baseLat = evaluate(base, arOverlay()).latencyMs;
+    const double imgLat = evaluate(imgOnly, arOverlay()).latencyMs;
+    const double bothLat = evaluate(both, arOverlay()).latencyMs;
     EXPECT_LT(imgLat, baseLat);      // image accel helps
     EXPECT_LE(bothLat, imgLat);      // adding DSP never hurts
 }
@@ -137,7 +148,7 @@ TEST(SocConfig, AreaGrowsWithPEsAndBus)
 
 TEST(Scheduler, BaselineIsFeasibleAndFinite)
 {
-    const SocResult r = evaluateSoc(baselineSoc(), edgeDetection());
+    const SocResult r = evaluate(baselineSoc(), edgeDetection());
     EXPECT_TRUE(r.feasible);
     EXPECT_GT(r.latencyMs, 0.0);
     EXPECT_GT(r.powerW, 0.0);
@@ -149,7 +160,7 @@ TEST(Scheduler, NoPEsIsInfeasible)
 {
     SocConfig cfg;
     cfg.littleCores = 0;
-    const SocResult r = evaluateSoc(cfg, audioDecoder());
+    const SocResult r = evaluate(cfg, audioDecoder());
     EXPECT_FALSE(r.feasible);
 }
 
@@ -158,7 +169,7 @@ TEST(Scheduler, AcceleratorOnlySocCannotRunGenericTasks)
     SocConfig cfg;
     cfg.littleCores = 0;
     cfg.imageAccels = 2;
-    const SocResult r = evaluateSoc(cfg, edgeDetection());
+    const SocResult r = evaluate(cfg, edgeDetection());
     EXPECT_FALSE(r.feasible);
     EXPECT_GT(r.latencyMs, 0.0);  // metrics stay defined
 }
@@ -168,8 +179,8 @@ TEST(Scheduler, ImageAcceleratorSpeedsUpEdgeDetection)
     SocConfig base = baselineSoc();
     SocConfig accel = base;
     accel.imageAccels = 1;
-    const SocResult rb = evaluateSoc(base, edgeDetection());
-    const SocResult ra = evaluateSoc(accel, edgeDetection());
+    const SocResult rb = evaluate(base, edgeDetection());
+    const SocResult ra = evaluate(accel, edgeDetection());
     EXPECT_LT(ra.latencyMs, rb.latencyMs);
 }
 
@@ -179,11 +190,11 @@ TEST(Scheduler, DspAcceleratorHelpsAudioNotEdge)
     SocConfig dsp = base;
     dsp.dspAccels = 1;
     const double audioGain =
-        evaluateSoc(base, audioDecoder()).latencyMs /
-        evaluateSoc(dsp, audioDecoder()).latencyMs;
+        evaluate(base, audioDecoder()).latencyMs /
+        evaluate(dsp, audioDecoder()).latencyMs;
     const double edgeGain =
-        evaluateSoc(base, edgeDetection()).latencyMs /
-        evaluateSoc(dsp, edgeDetection()).latencyMs;
+        evaluate(base, edgeDetection()).latencyMs /
+        evaluate(dsp, edgeDetection()).latencyMs;
     EXPECT_GT(audioGain, 1.2);
     EXPECT_NEAR(edgeGain, 1.0, 0.05);
 }
@@ -194,8 +205,8 @@ TEST(Scheduler, HigherFrequencyReducesLatencyRaisesPower)
     slow.frequencyGhz = 0.6;
     SocConfig fast = baselineSoc();
     fast.frequencyGhz = 2.0;
-    const SocResult rs = evaluateSoc(slow, edgeDetection());
-    const SocResult rf = evaluateSoc(fast, edgeDetection());
+    const SocResult rs = evaluate(slow, edgeDetection());
+    const SocResult rf = evaluate(fast, edgeDetection());
     EXPECT_LT(rf.latencyMs, rs.latencyMs);
     EXPECT_GT(rf.powerW, rs.powerW);
 }
@@ -207,8 +218,8 @@ TEST(Scheduler, WiderBusReducesTransferBoundLatency)
     narrow.memoryBandwidthGBps = 32.0;
     SocConfig wide = narrow;
     wide.busWidthBits = 512;
-    const SocResult rn = evaluateSoc(narrow, edgeDetection());
-    const SocResult rw = evaluateSoc(wide, edgeDetection());
+    const SocResult rn = evaluate(narrow, edgeDetection());
+    const SocResult rw = evaluate(wide, edgeDetection());
     EXPECT_LE(rw.latencyMs, rn.latencyMs);
     EXPECT_LE(rw.busUtilization, 1.0);
     EXPECT_GE(rn.busUtilization, rw.busUtilization);
@@ -222,8 +233,8 @@ TEST(Scheduler, MemoryBandwidthCapsBus)
     cfg.memoryBandwidthGBps = 2.0;  // bottleneck
     SocConfig fastMem = cfg;
     fastMem.memoryBandwidthGBps = 32.0;
-    EXPECT_GE(evaluateSoc(cfg, edgeDetection()).latencyMs,
-              evaluateSoc(fastMem, edgeDetection()).latencyMs);
+    EXPECT_GE(evaluate(cfg, edgeDetection()).latencyMs,
+              evaluate(fastMem, edgeDetection()).latencyMs);
 }
 
 TEST(Scheduler, MoreCoresExploitForkJoinParallelism)
@@ -233,14 +244,14 @@ TEST(Scheduler, MoreCoresExploitForkJoinParallelism)
     one.littleCores = 1;
     SocConfig two;
     two.littleCores = 2;
-    const SocResult r1 = evaluateSoc(one, edgeDetection());
-    const SocResult r2 = evaluateSoc(two, edgeDetection());
+    const SocResult r1 = evaluate(one, edgeDetection());
+    const SocResult r2 = evaluate(two, edgeDetection());
     EXPECT_LT(r2.latencyMs, r1.latencyMs * 1.0001);
 }
 
 TEST(Scheduler, EnergyEqualsPowerTimesLatency)
 {
-    const SocResult r = evaluateSoc(baselineSoc(), edgeDetection());
+    const SocResult r = evaluate(baselineSoc(), edgeDetection());
     // powerW = energy / makespan, and W x ms = mJ.
     EXPECT_NEAR(r.energyMj, r.powerW * r.latencyMs, r.energyMj * 1e-9);
 }
@@ -260,7 +271,7 @@ TEST_P(AllocationSweep, MetricsStayPhysical)
     cfg.dspAccels = dsp;
     cfg.imageAccels = img;
     for (const TaskGraph &g : {audioDecoder(), edgeDetection()}) {
-        const SocResult r = evaluateSoc(cfg, g);
+        const SocResult r = evaluate(cfg, g);
         EXPECT_GT(r.latencyMs, 0.0);
         EXPECT_GT(r.powerW, 0.0);
         EXPECT_GT(r.areaMm2, 0.0);
@@ -305,9 +316,9 @@ TEST(TaskGraphView, PrecomputesDependencyStructure)
 
 TEST(TaskGraphView, ViewPathBitIdenticalToReferenceAcrossRandomSocs)
 {
-    // The per-step-rebuild reference (evaluateSoc over the raw graph)
-    // is the oracle for the preallocated view path; every metric and
-    // the full PE assignment must match exactly, including infeasible
+    // The per-step-rebuild scheduler (oracle::evaluateSoc over the raw
+    // graph) is the oracle for the preallocated view path; every metric
+    // and the full PE assignment must match exactly, including infeasible
     // and zero-PE configurations, with scratch/result buffers reused
     // across all trials.
     Rng rng(2024);
@@ -330,7 +341,7 @@ TEST(TaskGraphView, ViewPathBitIdenticalToReferenceAcrossRandomSocs)
             cfg.memoryBandwidthGBps =
                 static_cast<double>(2u << rng.below(5));
 
-            const SocResult ref = evaluateSoc(cfg, g);
+            const SocResult ref = oracle::evaluateSoc(cfg, g);
             evaluateSoc(cfg, view, scratch, out);
             EXPECT_EQ(out.feasible, ref.feasible);
             EXPECT_EQ(out.latencyMs, ref.latencyMs);

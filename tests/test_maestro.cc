@@ -14,6 +14,7 @@
 #include "maestro/cost_model.h"
 #include "maestro/mapping.h"
 #include "mathutil/rng.h"
+#include "oracles/oracles.h"
 
 namespace archgym::maestro {
 namespace {
@@ -76,7 +77,7 @@ TEST(Mapping, StrIsInformative)
 
 TEST(MaestroCost, FiniteAndPositive)
 {
-    const MappingCost c = evaluateMapping(Mapping{}, testLayer());
+    const MappingCost c = evaluateMapping(Mapping{}, LayerView(testLayer()));
     EXPECT_GT(c.runtimeCycles, 0.0);
     EXPECT_GT(c.throughputMacsPerCycle, 0.0);
     EXPECT_GT(c.energyUj, 0.0);
@@ -87,7 +88,7 @@ TEST(MaestroCost, FiniteAndPositive)
 TEST(MaestroCost, ThroughputTimesRuntimeEqualsMacs)
 {
     const ConvLayer l = testLayer();
-    const MappingCost c = evaluateMapping(Mapping{}, l);
+    const MappingCost c = evaluateMapping(Mapping{}, LayerView(l));
     EXPECT_NEAR(c.throughputMacsPerCycle * c.runtimeCycles, l.macs(),
                 l.macs() * 1e-9);
 }
@@ -95,7 +96,7 @@ TEST(MaestroCost, ThroughputTimesRuntimeEqualsMacs)
 TEST(MaestroCost, DramTrafficAtLeastCompulsory)
 {
     const ConvLayer l = testLayer();
-    const MappingCost c = evaluateMapping(Mapping{}, l);
+    const MappingCost c = evaluateMapping(Mapping{}, LayerView(l));
     EXPECT_GE(c.dramAccesses,
               (l.weightCount() + l.inputCount() + l.outputCount()) *
                   0.999);
@@ -105,7 +106,7 @@ TEST(MaestroCost, TilesClampToLayerExtent)
 {
     Mapping m;
     m.tile = {4096, 4096, 99, 99, 4096, 4096};  // all oversized
-    const MappingCost c = evaluateMapping(m, testLayer());
+    const MappingCost c = evaluateMapping(m, LayerView(testLayer()));
     EXPECT_TRUE(std::isfinite(c.runtimeCycles));
     EXPECT_GT(c.l1Required, 0.0);
 }
@@ -127,8 +128,8 @@ TEST(MaestroCost, InnermostIrrelevantLoopsIncreaseReuse)
     // Y,X outermost: every weight tile is reloaded per output position.
     weightThrashing.priority = {4, 5, 2, 3, 0, 1};  // Y X outer
 
-    const MappingCost good = evaluateMapping(weightStationary, l);
-    const MappingCost bad = evaluateMapping(weightThrashing, l);
+    const MappingCost good = evaluateMapping(weightStationary, LayerView(l));
+    const MappingCost bad = evaluateMapping(weightThrashing, LayerView(l));
     EXPECT_LT(good.l2Accesses, bad.l2Accesses);
 }
 
@@ -148,7 +149,7 @@ TEST(MaestroCost, ReorderingChangesCost)
     }};
     for (const auto &p : orders) {
         m.priority = p;
-        costs.push_back(evaluateMapping(m, l).l2Accesses);
+        costs.push_back(evaluateMapping(m, LayerView(l)).l2Accesses);
     }
     std::sort(costs.begin(), costs.end());
     EXPECT_LT(costs.front(), costs.back());
@@ -167,8 +168,8 @@ TEST(MaestroCost, MorePEsReduceRuntimeOnComputeBound)
     few.numPEs = 4;
     Mapping many = few;
     many.numPEs = 1024;
-    EXPECT_LE(evaluateMapping(many, l).runtimeCycles,
-              evaluateMapping(few, l).runtimeCycles);
+    EXPECT_LE(evaluateMapping(many, LayerView(l)).runtimeCycles,
+              evaluateMapping(few, LayerView(l)).runtimeCycles);
 }
 
 TEST(MaestroCost, SpatialDimChoiceMatters)
@@ -178,9 +179,9 @@ TEST(MaestroCost, SpatialDimChoiceMatters)
     m.tile = {2, 64, 3, 3, 2, 28};
     m.numPEs = 256;
     m.spatialDim = Dim::K;  // K has 32 tiles to unroll
-    const double rtK = evaluateMapping(m, l).runtimeCycles;
+    const double rtK = evaluateMapping(m, LayerView(l)).runtimeCycles;
     m.spatialDim = Dim::C;  // C has a single tile: no parallelism
-    const double rtC = evaluateMapping(m, l).runtimeCycles;
+    const double rtC = evaluateMapping(m, LayerView(l)).runtimeCycles;
     EXPECT_LT(rtK, rtC);
 }
 
@@ -195,11 +196,11 @@ TEST(MaestroCost, OversizedTilesFlagBufferOverflow)
     huge.tile = {64, 64, 3, 3, 28, 28};  // whole layer in "L1"
     MaestroHardware hw;
     hw.l1Words = 64;
-    const MappingCost c = evaluateMapping(huge, l, hw);
+    const MappingCost c = evaluateMapping(huge, LayerView(l), hw);
     EXPECT_FALSE(c.buffersFit);
     Mapping tiny;
     tiny.tile = {1, 2, 3, 3, 2, 2};
-    EXPECT_TRUE(evaluateMapping(tiny, l, hw).buffersFit);
+    EXPECT_TRUE(evaluateMapping(tiny, LayerView(l), hw).buffersFit);
 }
 
 TEST(MaestroCost, OverflowInflatesDramTraffic)
@@ -211,8 +212,8 @@ TEST(MaestroCost, OverflowInflatesDramTraffic)
     fits.tile = {1, 2, 3, 3, 2, 2};
     Mapping spills;
     spills.tile = {64, 64, 3, 3, 28, 28};
-    EXPECT_GT(evaluateMapping(spills, l, hw).dramAccesses,
-              evaluateMapping(fits, l, hw).dramAccesses);
+    EXPECT_GT(evaluateMapping(spills, LayerView(l), hw).dramAccesses,
+              evaluateMapping(fits, LayerView(l), hw).dramAccesses);
 }
 
 // --------------------------------------------------------------------
@@ -223,10 +224,10 @@ TEST(MaestroCost, NetworkSumsLayers)
 {
     const Network net = timeloop::resNet18();
     const Mapping m;
-    const MappingCost total = evaluateMappingOnNetwork(m, net);
+    const MappingCost total = evaluateMappingOnNetwork(m, NetworkView(net));
     double runtime = 0.0;
     for (const auto &l : net.layers)
-        runtime += evaluateMapping(m, l).runtimeCycles;
+        runtime += evaluateMapping(m, LayerView(l)).runtimeCycles;
     EXPECT_NEAR(total.runtimeCycles, runtime, runtime * 1e-9);
 }
 
@@ -234,8 +235,10 @@ TEST(MaestroCost, Vgg16SlowerThanResNet18SameMapping)
 {
     const Mapping m;
     EXPECT_GT(
-        evaluateMappingOnNetwork(m, timeloop::vgg16()).runtimeCycles,
-        evaluateMappingOnNetwork(m, timeloop::resNet18()).runtimeCycles);
+        evaluateMappingOnNetwork(m, NetworkView(timeloop::vgg16()))
+            .runtimeCycles,
+        evaluateMappingOnNetwork(m, NetworkView(timeloop::resNet18()))
+            .runtimeCycles);
 }
 
 // --------------------------------------------------------------------
@@ -282,8 +285,8 @@ TEST(NetworkView, LayerPathBitIdenticalToReference)
     const LayerView view(l);
     for (int trial = 0; trial < 300; ++trial) {
         const Mapping m = randomMapping(rng);
-        expectSameCost(evaluateMapping(m, view), evaluateMapping(m, l),
-                       trial);
+        expectSameCost(evaluateMapping(m, view),
+                       oracle::evaluateMapping(m, l), trial);
     }
 }
 
@@ -297,7 +300,7 @@ TEST(NetworkView, NetworkPathBitIdenticalToReference)
     for (int trial = 0; trial < 100; ++trial) {
         const Mapping m = randomMapping(rng);
         expectSameCost(evaluateMappingOnNetwork(m, view),
-                       evaluateMappingOnNetwork(m, net), trial);
+                       oracle::evaluateMappingOnNetwork(m, net), trial);
     }
 }
 

@@ -15,6 +15,7 @@
 #include "mathutil/mlp.h"
 #include "mathutil/rng.h"
 #include "mathutil/stats.h"
+#include "oracles/oracles.h"
 
 namespace archgym {
 namespace {
@@ -891,9 +892,9 @@ TEST(CrossDistances, GemmMatchesNaiveBitIdentical)
         std::vector<double> gemm(s.na * s.nb), naive(s.na * s.nb);
         crossSquaredDistances(a.data(), an.data(), s.na, bt.data(),
                               bn.data(), s.nb, s.dim, gemm.data());
-        crossSquaredDistancesNaive(a.data(), an.data(), s.na, b.data(),
-                                   bn.data(), s.nb, s.dim,
-                                   naive.data());
+        oracle::crossSquaredDistancesNaive(a.data(), an.data(), s.na,
+                                           b.data(), bn.data(), s.nb,
+                                           s.dim, naive.data());
         for (std::size_t i = 0; i < s.na * s.nb; ++i)
             EXPECT_DOUBLE_EQ(gemm[i], naive[i])
                 << "na=" << s.na << " nb=" << s.nb << " dim=" << s.dim

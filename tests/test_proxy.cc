@@ -7,10 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
-
-#include <cmath>
+#include <ctime>
 
 #include "agents/registry.h"
 #include "core/driver.h"
@@ -359,18 +357,23 @@ TEST_F(DramProxyFixture, ProxyIsMuchFasterThanSimulator)
     Rng rng(79);
     const Action a = env_->actionSpace().sample(rng);
 
-    const auto t0 = std::chrono::steady_clock::now();
+    // Both loops run on this thread, so its CPU clock times them
+    // without the deschedules a loaded machine (ctest -j) adds to wall
+    // time.
+    const auto cpuNs = [] {
+        timespec ts{};
+        clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+        return static_cast<double>(ts.tv_sec) * 1e9 +
+               static_cast<double>(ts.tv_nsec);
+    };
+    const double t0 = cpuNs();
     for (int i = 0; i < 50; ++i)
         env_->step(a);
-    const auto t1 = std::chrono::steady_clock::now();
+    const double t1 = cpuNs();
     for (int i = 0; i < 50; ++i)
         model.predict(a);
-    const auto t2 = std::chrono::steady_clock::now();
-    const double simNs =
-        std::chrono::duration<double, std::nano>(t1 - t0).count();
-    const double proxyNs =
-        std::chrono::duration<double, std::nano>(t2 - t1).count();
-    EXPECT_GT(simNs / proxyNs, 5.0);  // conservative lower bound
+    const double t2 = cpuNs();
+    EXPECT_GT((t1 - t0) / (t2 - t1), 5.0);  // conservative lower bound
 }
 
 } // namespace

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -850,7 +851,7 @@ TEST(RecordRoundTrip, EveryRendererRoundTripsArbitraryStrings)
         allBytes.push_back(static_cast<char>(c));
     const std::vector<std::string> table = {
         "a}b", "}", "\"quoted\" {\"k\":1}", "line one\nline two",
-        "#@run 0 5 123\n#@run ", "back\\slash\\", allBytes};
+        "#@run 0 5 123\n#@run ", "back\\slash\\", allBytes, ""};
 
     ScreenFixture fx;
     for (std::size_t row = 0; row < table.size(); ++row) {
@@ -919,11 +920,22 @@ TEST(RecordRoundTrip, EveryRendererRoundTripsArbitraryStrings)
         }
 
         // .colidx: metric names and every group's env/agent/hyper.
+        // CSV blocks: a shard CSV's second block reads back intact.
         {
             ParamSpace space;
             space.add(ParamDesc::integer("x", 0, 9));
             TrajectoryLog log(s, s, s);
             log.append(Transition{{1.0}, {2.0}, 3.0});
+            std::stringstream csv;
+            TrajectoryLog("plain", "GA", "").writeCsv(csv, space, {"m"});
+            log.writeCsv(csv, space, {"m"});
+            const auto blocks = TrajectoryLog::readCsvAll(csv);
+            ASSERT_EQ(blocks.size(), 2u);
+            EXPECT_EQ(blocks[1].envName(), s);
+            EXPECT_EQ(blocks[1].agentName(), s);
+            EXPECT_EQ(blocks[1].hyperParams(), s);
+            ASSERT_EQ(blocks[1].size(), 1u);
+            EXPECT_EQ(blocks[1][0].reward, 3.0);
             const std::string stem = (fs::path(dir) / "col").string();
             {
                 ColumnarDatasetWriter writer(stem, space, {s}, 1);

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "mathutil/rng.h"
+#include "oracles/oracles.h"
 #include "timeloop/accelerator.h"
 #include "timeloop/cost_model.h"
 #include "timeloop/workload.h"
@@ -104,7 +105,8 @@ TEST(Accelerator, AreaGrowsWithBuffers)
 
 TEST(CostModel, FiniteAndPositiveOnDefaults)
 {
-    const LayerCost c = evaluateLayer(AcceleratorConfig{}, smallLayer());
+    const LayerCost c =
+        evaluateLayer(AcceleratorConfig{}, LayerView(smallLayer()));
     EXPECT_GT(c.cycles, 0.0);
     EXPECT_GT(c.energyUj, 0.0);
     EXPECT_GT(c.areaMm2, 0.0);
@@ -117,7 +119,7 @@ TEST(CostModel, ComputeLowerBoundRespected)
 {
     const ConvLayer l = smallLayer();
     const AcceleratorConfig cfg;
-    const LayerCost c = evaluateLayer(cfg, l);
+    const LayerCost c = evaluateLayer(cfg, LayerView(l));
     EXPECT_GE(c.cycles, l.macs() / cfg.numPEs * 0.999);
 }
 
@@ -130,8 +132,8 @@ TEST(CostModel, MorePEsNeverSlowerWhenBandwidthAmple)
     few.dramWordsPerCycle = 8;
     AcceleratorConfig many = few;
     many.numPEs = 256;
-    const LayerCost cf = evaluateLayer(few, l);
-    const LayerCost cm = evaluateLayer(many, l);
+    const LayerCost cf = evaluateLayer(few, LayerView(l));
+    const LayerCost cm = evaluateLayer(many, LayerView(l));
     EXPECT_LE(cm.cycles, cf.cycles * 1.001);
 }
 
@@ -142,8 +144,8 @@ TEST(CostModel, StarvedDramBandwidthHurtsLatency)
     fast.dramWordsPerCycle = 8;
     AcceleratorConfig slow = fast;
     slow.dramWordsPerCycle = 1;
-    EXPECT_GE(evaluateLayer(slow, l).cycles,
-              evaluateLayer(fast, l).cycles);
+    EXPECT_GE(evaluateLayer(slow, LayerView(l)).cycles,
+              evaluateLayer(fast, LayerView(l)).cycles);
 }
 
 TEST(CostModel, BiggerScratchpadsNeverIncreaseDramTraffic)
@@ -155,14 +157,14 @@ TEST(CostModel, BiggerScratchpadsNeverIncreaseDramTraffic)
     AcceleratorConfig big = small;
     big.weightSpadEntries = 512;
     big.globalBufferKb = 512;
-    EXPECT_LE(evaluateLayer(big, l).dramAccesses,
-              evaluateLayer(small, l).dramAccesses * 1.001);
+    EXPECT_LE(evaluateLayer(big, LayerView(l)).dramAccesses,
+              evaluateLayer(small, LayerView(l)).dramAccesses * 1.001);
 }
 
 TEST(CostModel, DramTrafficAtLeastCompulsory)
 {
     const ConvLayer l = smallLayer();
-    const LayerCost c = evaluateLayer(AcceleratorConfig{}, l);
+    const LayerCost c = evaluateLayer(AcceleratorConfig{}, LayerView(l));
     const double compulsory =
         l.weightCount() + l.inputCount() + l.outputCount();
     EXPECT_GE(c.dramAccesses, compulsory * 0.999);
@@ -172,10 +174,10 @@ TEST(CostModel, NetworkCostIsSumOfLayers)
 {
     const Network net = resNet18();
     const AcceleratorConfig cfg;
-    const LayerCost total = evaluateNetwork(cfg, net);
+    const LayerCost total = evaluateNetwork(cfg, NetworkView(net));
     double cycles = 0.0, energy = 0.0;
     for (const auto &l : net.layers) {
-        const LayerCost c = evaluateLayer(cfg, l);
+        const LayerCost c = evaluateLayer(cfg, LayerView(l));
         cycles += c.cycles;
         energy += c.energyUj;
     }
@@ -190,8 +192,8 @@ TEST(CostModel, DepthwiseLayersHaveLowArithmeticIntensity)
     // MAC ratio must be visibly higher.
     AcceleratorConfig cfg;
     const Network net = mobileNet();
-    const LayerCost dw = evaluateLayer(cfg, net.layers[1]);   // dw2
-    const LayerCost pw = evaluateLayer(cfg, net.layers[2]);   // pw2
+    const LayerCost dw = evaluateLayer(cfg, LayerView(net.layers[1]));  // dw2
+    const LayerCost pw = evaluateLayer(cfg, LayerView(net.layers[2]));  // pw2
     const double dwIntensity =
         net.layers[1].macs() / dw.dramAccesses;
     const double pwIntensity =
@@ -227,7 +229,7 @@ TEST(CostModel, GlobalBufferTrafficVariesWithPTile)
     //   gb   = dram + 720*4*8 + 512*4            = 31696
     // (the cancelled term used to yield 6608 + 720*4 + 512*4 = 11536,
     // independent of passesP).
-    const LayerCost tight = evaluateLayer(constrained, l);
+    const LayerCost tight = evaluateLayer(constrained, LayerView(l));
     EXPECT_DOUBLE_EQ(tight.dramAccesses, 6608.0);
     EXPECT_DOUBLE_EQ(tight.bufferAccesses, 31696.0);
 
@@ -237,15 +239,15 @@ TEST(CostModel, GlobalBufferTrafficVariesWithPTile)
     // 11536 words).
     AcceleratorConfig roomy = constrained;
     roomy.accumSpadEntries = 8;
-    const LayerCost loose = evaluateLayer(roomy, l);
+    const LayerCost loose = evaluateLayer(roomy, LayerView(l));
     EXPECT_DOUBLE_EQ(loose.bufferAccesses, 11536.0);
     EXPECT_GT(tight.bufferAccesses, loose.bufferAccesses);
 
-    // The hoisted view path carries the same corrected term.
-    const LayerView view(l);
-    EXPECT_DOUBLE_EQ(evaluateLayer(constrained, view).bufferAccesses,
+    // The per-step-rebuild oracle carries the same corrected term.
+    EXPECT_DOUBLE_EQ(oracle::evaluateLayer(constrained, l).bufferAccesses,
                      31696.0);
-    EXPECT_DOUBLE_EQ(evaluateLayer(roomy, view).bufferAccesses, 11536.0);
+    EXPECT_DOUBLE_EQ(oracle::evaluateLayer(roomy, l).bufferAccesses,
+                     11536.0);
 }
 
 // Parameterized monotonicity sweep: clock scaling must not change cycle
@@ -261,8 +263,8 @@ TEST_P(ClockSweep, LatencyScalesInverselyWithClock)
     base.clockGhz = 1.0;
     AcceleratorConfig scaled = base;
     scaled.clockGhz = GetParam();
-    const LayerCost cb = evaluateLayer(base, l);
-    const LayerCost cs = evaluateLayer(scaled, l);
+    const LayerCost cb = evaluateLayer(base, LayerView(l));
+    const LayerCost cs = evaluateLayer(scaled, LayerView(l));
     EXPECT_DOUBLE_EQ(cb.cycles, cs.cycles);
     EXPECT_NEAR(cs.latencyMs, cb.latencyMs / GetParam(),
                 cb.latencyMs * 1e-9);
@@ -318,7 +320,7 @@ TEST(NetworkView, LayerPathBitIdenticalToReference)
             for (std::size_t li = 0; li < net.layers.size(); ++li) {
                 expectSameCost(
                     evaluateLayer(cfg, view.layers()[li]),
-                    evaluateLayer(cfg, net.layers[li]),
+                    oracle::evaluateLayer(cfg, net.layers[li]),
                     net.name + "/" + net.layers[li].name);
             }
         }
@@ -333,7 +335,7 @@ TEST(NetworkView, NetworkPathBitIdenticalToReference)
     for (int trial = 0; trial < 20; ++trial) {
         const AcceleratorConfig cfg = randomConfig(rng);
         expectSameCost(evaluateNetwork(cfg, view),
-                       evaluateNetwork(cfg, net), net.name);
+                       oracle::evaluateNetwork(cfg, net), net.name);
     }
 }
 

@@ -20,6 +20,7 @@
 #include "dramsys/trace_profile.h"
 #include "envs/dram_gym_env.h"
 #include "mathutil/rng.h"
+#include "oracles/oracles.h"
 
 namespace archgym::dram {
 namespace {
@@ -60,13 +61,13 @@ TEST(StackDistanceProfiler, BitIdenticalToOracleOnAllPatterns)
         for (std::uint64_t seed : {1ULL, 42ULL, 99ULL}) {
             const auto trace = patternTrace(p, 2000, seed, 1ULL << 22);
             StackDistanceProfiler fast;
-            ReferenceStackProfiler oracle;
+            oracle::ReferenceStackProfiler naive;
             for (const auto &r : trace) {
                 fast.observe(r);
-                oracle.observe(r);
+                naive.observe(r);
             }
-            expectSameCdf(fast.cdf(), oracle.cdf());
-            EXPECT_EQ(fast.distinctLines(), oracle.distinctLines())
+            expectSameCdf(fast.cdf(), naive.cdf());
+            EXPECT_EQ(fast.distinctLines(), naive.distinctLines())
                 << toString(p) << " seed " << seed;
         }
     }
@@ -80,14 +81,14 @@ TEST(StackDistanceProfiler, BitIdenticalUnderOverflowAndCompaction)
     // times).
     Rng rng(7);
     StackDistanceProfiler fast(64, 16);
-    ReferenceStackProfiler oracle(64, 16);
+    oracle::ReferenceStackProfiler naive(64, 16);
     for (int i = 0; i < 20000; ++i) {
         const std::uint64_t address = rng.below(300) * 64;
         const bool w = rng.chance(0.3);
         fast.observe(address, w);
-        oracle.observe(address, w);
+        naive.observe(address, w);
     }
-    expectSameCdf(fast.cdf(), oracle.cdf());
+    expectSameCdf(fast.cdf(), naive.cdf());
 }
 
 TEST(StackDistanceProfiler, KnownSmallSequence)
